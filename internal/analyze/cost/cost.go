@@ -283,10 +283,11 @@ func (p *predictor) attributeMass(f *ir.Func, in *ir.Instr, mass float64, paths 
 		paths = []wpath{{w: 1}}
 	}
 	for _, pp := range paths {
-		frames := make([]core.Frame, 0, 1+len(pp.frames))
-		frames = append(frames, core.Frame{Fn: f, Instr: in})
-		frames = append(frames, pp.frames...)
-		for _, b := range p.analysis.AttributeSample(frames) {
+		// AttributeSample does not keep the path, so one buffer serves
+		// every call.
+		p.frames = append(p.frames[:0], core.Frame{Fn: f, Instr: in})
+		p.frames = append(p.frames, pp.frames...)
+		for _, b := range p.analysis.AttributeSample(p.frames) {
 			record(b, mass*pp.w)
 		}
 	}

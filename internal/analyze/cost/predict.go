@@ -70,6 +70,8 @@ type predictor struct {
 	noteSet    map[string]bool
 
 	rebinds map[*ir.Func]uint64 // bitset: param i may be rebound
+
+	frames []core.Frame // attributeMass's call-path buffer, reused
 }
 
 // paramRebinds computes, per function, which parameters may have their

@@ -20,7 +20,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -56,7 +58,6 @@ type PathBlame struct {
 	Root *ir.Var
 	Path string
 	set  *bitset
-	line map[int32]bool
 }
 
 // FuncAnalysis holds the per-function static blame information.
@@ -67,8 +68,6 @@ type FuncAnalysis struct {
 
 	// blame maps alias-class representative vars to instruction sets.
 	blame map[*ir.Var]*bitset
-	// blameLines is the line-granularity projection.
-	blameLines map[*ir.Var]map[int32]bool
 	// Exits are the function's exit variables (ref formals + return).
 	Exits []*ir.Var
 	// Paths maps access paths to their blame.
@@ -77,6 +76,10 @@ type FuncAnalysis struct {
 	// vars lists all variables that appear in the function (including
 	// globals it touches).
 	vars []*ir.Var
+
+	// tab is the per-instruction attribution table, built on first use.
+	tableOnce sync.Once
+	tab       *attribTable
 }
 
 // Analysis is the whole-program static blame result (paper step 1).
@@ -210,11 +213,10 @@ func (a *Analysis) CalleeWritesParam(fn *ir.Func, p *ir.Var) bool {
 
 func (a *Analysis) analyzeFunc(f *ir.Func) *FuncAnalysis {
 	fa := &FuncAnalysis{
-		Fn:         f,
-		index:      make(map[*ir.Instr]int),
-		blame:      make(map[*ir.Var]*bitset),
-		blameLines: make(map[*ir.Var]map[int32]bool),
-		Paths:      make(map[string]*PathBlame),
+		Fn:    f,
+		index: make(map[*ir.Instr]int),
+		blame: make(map[*ir.Var]*bitset),
+		Paths: make(map[string]*PathBlame),
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -384,17 +386,6 @@ func (a *Analysis) analyzeFunc(f *ir.Func) *FuncAnalysis {
 		}
 	}
 
-	// Line-granularity projection.
-	for rep, set := range fa.blame {
-		lines := make(map[int32]bool)
-		set.each(func(i int) {
-			if p := fa.instrs[i].Pos; p.IsValid() {
-				lines[p.Line] = true
-			}
-		})
-		fa.blameLines[rep] = lines
-	}
-
 	// Access-path blame (field/element rows of Table IV).
 	if a.Opts.TrackPaths {
 		a.buildPaths(fa, cdeps)
@@ -463,7 +454,7 @@ func (a *Analysis) buildPaths(fa *FuncAnalysis, cdeps map[int][]*ir.Instr) {
 	addPathBlame := func(path string, root *ir.Var, idx int) {
 		pb, ok := fa.Paths[path]
 		if !ok {
-			pb = &PathBlame{Root: root, Path: path, set: newBitset(n), line: make(map[int32]bool)}
+			pb = &PathBlame{Root: root, Path: path, set: newBitset(n)}
 			fa.Paths[path] = pb
 		}
 		// Slice of this store: the stored value and the indices — not the
@@ -528,7 +519,7 @@ func (a *Analysis) buildPaths(fa *FuncAnalysis, cdeps map[int][]*ir.Instr) {
 				anc, ok = prefixes[p]
 			}
 			if !ok {
-				anc = &PathBlame{Root: pb.Root, Path: p, set: newBitset(n), line: make(map[int32]bool)}
+				anc = &PathBlame{Root: pb.Root, Path: p, set: newBitset(n)}
 				prefixes[p] = anc
 			}
 			anc.set.union(pb.set)
@@ -536,13 +527,6 @@ func (a *Analysis) buildPaths(fa *FuncAnalysis, cdeps map[int][]*ir.Instr) {
 	}
 	for p, pb := range prefixes {
 		fa.Paths[p] = pb
-	}
-	for _, pb := range fa.Paths {
-		pb.set.each(func(i int) {
-			if p := fa.instrs[i].Pos; p.IsValid() {
-				pb.line[p.Line] = true
-			}
-		})
 	}
 }
 
@@ -630,67 +614,16 @@ func (a *Analysis) BlameSetLines(f *ir.Func, v *ir.Var) []int {
 	if fa == nil {
 		return nil
 	}
-	lines, ok := fa.blameLines[a.find(v)]
+	set, ok := fa.blame[a.find(v)]
 	if !ok {
 		return nil
 	}
-	out := make([]int, 0, len(lines))
-	for l := range lines {
-		out = append(out, int(l))
-	}
+	out := []int{}
+	set.each(func(i int) {
+		if p := fa.instrs[i].Pos; p.IsValid() {
+			out = append(out, int(p.Line))
+		}
+	})
 	sort.Ints(out)
-	return out
-}
-
-// blamedAt returns all variables of f whose blame set contains the
-// instruction (or its line, at line granularity).
-func (fa *FuncAnalysis) blamedAt(a *Analysis, in *ir.Instr) []*ir.Var {
-	idx, ok := fa.index[in]
-	if !ok {
-		return nil
-	}
-	blamedRep := func(rep *ir.Var) bool {
-		if a.Opts.LineGranularity {
-			lines := fa.blameLines[rep]
-			return lines != nil && in.Pos.IsValid() && lines[in.Pos.Line]
-		}
-		s := fa.blame[rep]
-		return s != nil && s.has(idx)
-	}
-	var out []*ir.Var
-	for _, v := range fa.vars {
-		if blamedRep(a.find(v)) {
-			out = append(out, v)
-		}
-	}
-	// Global alias-class members share blame even when the alias name
-	// does not appear in this function (RealPos/RealCount in MiniMD).
-	for rep := range fa.blame {
-		if !blamedRep(rep) {
-			continue
-		}
-		out = append(out, a.globalMembers[rep]...)
-	}
-	return out
-}
-
-// pathsAt returns access paths blamed for the instruction.
-func (fa *FuncAnalysis) pathsAt(a *Analysis, in *ir.Instr) []*PathBlame {
-	idx, ok := fa.index[in]
-	if !ok {
-		return nil
-	}
-	var out []*PathBlame
-	for _, pb := range fa.Paths {
-		if a.Opts.LineGranularity {
-			if in.Pos.IsValid() && pb.line[in.Pos.Line] {
-				out = append(out, pb)
-			}
-			continue
-		}
-		if pb.set.has(idx) {
-			out = append(out, pb)
-		}
-	}
-	return out
+	return slices.Compact(out)
 }

@@ -55,51 +55,32 @@ func displayable(v *ir.Var) bool {
 	return true
 }
 
-// isExit reports whether v (or its alias class) is one of fa's exit
-// variables.
-func (a *Analysis) blamedExits(fa *FuncAnalysis, in *ir.Instr) []*ir.Var {
-	idx, ok := fa.index[in]
-	if !ok {
-		return nil
-	}
-	var out []*ir.Var
-	for _, e := range fa.Exits {
-		rep := a.find(e)
-		if a.Opts.LineGranularity {
-			if lines := fa.blameLines[rep]; lines != nil && in.Pos.IsValid() && lines[in.Pos.Line] {
-				out = append(out, e)
-			}
-			continue
-		}
-		if s := fa.blame[rep]; s != nil && s.has(idx) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // AttributeSample maps one sample (as a resolved call path, innermost
 // first) to the set of blamed variables and access paths — the paper's
 // step 3: level-0 blame from the sampled instruction's membership in
 // blame sets, then exit-variable bubbling through each call/spawn site
 // using the transfer functions.
 func (a *Analysis) AttributeSample(path []Frame) []Blamed {
+	// A sample blames a handful of entities, so deduplicating by a scan
+	// of the result beats allocating sets for every sample.
 	var out []Blamed
-	seenSym := make(map[*sem.Symbol]bool)
-	seenPath := make(map[string]bool)
-
 	record := func(v *ir.Var) {
-		if !displayable(v) || seenSym[v.Sym] {
+		if !displayable(v) {
 			return
 		}
-		seenSym[v.Sym] = true
+		for _, b := range out {
+			if b.Sym == v.Sym && b.Path == "" {
+				return
+			}
+		}
 		out = append(out, Blamed{Sym: v.Sym, Var: v})
 	}
 	recordPath := func(pb *PathBlame) {
-		if seenPath[pb.Path] {
-			return
+		for _, b := range out {
+			if b.Path == pb.Path {
+				return
+			}
 		}
-		seenPath[pb.Path] = true
 		out = append(out, Blamed{Path: pb.Path, Root: pb.Root, Sym: pb.Root.Sym})
 	}
 
@@ -109,8 +90,13 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 		if fa == nil || fr.Instr == nil {
 			break
 		}
-		for _, v := range fa.blamedAt(a, fr.Instr) {
-			record(v)
+		idx, inFunc := fa.index[fr.Instr]
+		var tab *attribTable
+		if inFunc {
+			tab = fa.table(a)
+			for _, v := range tab.vars.at(idx) {
+				record(v)
+			}
 		}
 		// Caller-side transfer at a call site reached through a blamed
 		// exit: "establish a blame relationship between the blamed
@@ -127,16 +113,16 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 				}
 			}
 		}
+		if !inFunc {
+			break
+		}
 		if a.Opts.TrackPaths {
-			for _, pb := range fa.pathsAt(a, fr.Instr) {
+			for _, pb := range tab.paths.at(idx) {
 				recordPath(pb)
 			}
 		}
-		if !a.Opts.Interprocedural {
-			break
-		}
 		// Bubble only while an exit variable carries the blame upward.
-		if len(a.blamedExits(fa, fr.Instr)) == 0 {
+		if !a.Opts.Interprocedural || !tab.exit[idx] {
 			break
 		}
 	}
