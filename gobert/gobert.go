@@ -55,15 +55,23 @@ const (
 // IPow is the interpreter's integer exponentiation (OpBin POW).
 func IPow(a, b int64) int64 { return vm.IPow(a, b) }
 
+// Value constructors: generated code stores whole Values built by these.
+func IntVal(i int64) Value    { return vm.IntVal(i) }
+func RealVal(f float64) Value { return vm.RealVal(f) }
+func BoolVal(b bool) Value    { return vm.BoolVal(b) }
+func StrVal(s string) Value   { return vm.StrVal(s) }
+
+// MakeRef is the interpreter's reference binding (ref-to-ref collapsed).
+func MakeRef(cell *Value) Value { return vm.MakeRef(cell) }
+
 // AsRealF is Value.AsReal for a caller that already proved v is KInt or
-// KReal, through a pointer: the method's value receiver copies the whole
-// (large) Value struct on every call — a runtime.duffcopy that dominated
-// compiled-kernel profiles.
+// KReal: without AsReal's reference case it is small enough to inline
+// into generated kernels.
 func AsRealF(v *Value) float64 {
 	if v.K == KInt {
 		return float64(v.I)
 	}
-	return v.F
+	return v.F()
 }
 
 // FuncFn is one compiled IR function. It executes instructions of

@@ -283,11 +283,12 @@ func (p *predictor) attributeMass(f *ir.Func, in *ir.Instr, mass float64, paths 
 		paths = []wpath{{w: 1}}
 	}
 	for _, pp := range paths {
-		// AttributeSample does not keep the path, so one buffer serves
-		// every call.
+		// AttributeSample keeps neither the path nor the result, so one
+		// buffer of each serves every call.
 		p.frames = append(p.frames[:0], core.Frame{Fn: f, Instr: in})
 		p.frames = append(p.frames, pp.frames...)
-		for _, b := range p.analysis.AttributeSample(p.frames) {
+		p.blamed = p.analysis.AttributeSample(p.blamed[:0], p.frames)
+		for _, b := range p.blamed {
 			record(b, mass*pp.w)
 		}
 	}

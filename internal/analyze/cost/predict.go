@@ -71,7 +71,8 @@ type predictor struct {
 
 	rebinds map[*ir.Func]uint64 // bitset: param i may be rebound
 
-	frames []core.Frame // attributeMass's call-path buffer, reused
+	frames []core.Frame  // attributeMass's call-path buffer, reused
+	blamed []core.Blamed // attributeMass's result buffer, reused
 }
 
 // paramRebinds computes, per function, which parameters may have their

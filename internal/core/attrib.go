@@ -60,15 +60,20 @@ func displayable(v *ir.Var) bool {
 // step 3: level-0 blame from the sampled instruction's membership in
 // blame sets, then exit-variable bubbling through each call/spawn site
 // using the transfer functions.
-func (a *Analysis) AttributeSample(path []Frame) []Blamed {
+//
+// The blamed entities are appended to dst, which is returned extended:
+// callers that consume each sample's result before the next pass one
+// buffer back in (as buf[:0]) and attribute without allocating.
+func (a *Analysis) AttributeSample(dst []Blamed, path []Frame) []Blamed {
 	// A sample blames a handful of entities, so deduplicating by a scan
 	// of the result beats allocating sets for every sample.
-	var out []Blamed
+	out := dst
+	base := len(dst)
 	record := func(v *ir.Var) {
 		if !displayable(v) {
 			return
 		}
-		for _, b := range out {
+		for _, b := range out[base:] {
 			if b.Sym == v.Sym && b.Path == "" {
 				return
 			}
@@ -76,7 +81,7 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 		out = append(out, Blamed{Sym: v.Sym, Var: v})
 	}
 	recordPath := func(pb *PathBlame) {
-		for _, b := range out {
+		for _, b := range out[base:] {
 			if b.Path == pb.Path {
 				return
 			}

@@ -237,7 +237,7 @@ func TestAttributeSampleLevel0(t *testing.T) {
 	if target == nil {
 		t.Fatalf("no bin op at line 4\n%s", f.Dump())
 	}
-	blamed := a.AttributeSample([]core.Frame{{Fn: f, Instr: target}})
+	blamed := a.AttributeSample(nil, []core.Frame{{Fn: f, Instr: target}})
 	names := map[string]bool{}
 	for _, b := range blamed {
 		if b.Sym != nil && b.Path == "" {
@@ -295,7 +295,7 @@ proc main() {
 	if callsite == nil {
 		t.Fatal("no call site")
 	}
-	blamed := a.AttributeSample([]core.Frame{
+	blamed := a.AttributeSample(nil, []core.Frame{
 		{Fn: work, Instr: target},
 		{Fn: main, Instr: callsite},
 	})
@@ -343,7 +343,7 @@ proc main() {
 			}
 		}
 	}
-	blamed := a.AttributeSample([]core.Frame{
+	blamed := a.AttributeSample(nil, []core.Frame{
 		{Fn: work, Instr: target},
 		{Fn: main, Instr: callsite},
 	})
@@ -372,7 +372,7 @@ proc main() { work(); }
 			}
 		}
 	}
-	blamed := a.AttributeSample([]core.Frame{{Fn: work, Instr: target}})
+	blamed := a.AttributeSample(nil, []core.Frame{{Fn: work, Instr: target}})
 	found := false
 	for _, b := range blamed {
 		if b.Sym != nil && b.Sym.Name == "G" {
@@ -435,7 +435,7 @@ func TestTempsExcludedFromAttribution(t *testing.T) {
 			}
 		}
 	}
-	blamed := a.AttributeSample([]core.Frame{{Fn: f, Instr: target}})
+	blamed := a.AttributeSample(nil, []core.Frame{{Fn: f, Instr: target}})
 	for _, bl := range blamed {
 		if bl.Sym == nil {
 			t.Errorf("blamed entity without symbol: %+v", bl)
@@ -470,7 +470,7 @@ func TestLineGranularityOption(t *testing.T) {
 	if target == nil {
 		t.Fatalf("no const at line 3\n%s", f.Dump())
 	}
-	blamed := a.AttributeSample([]core.Frame{{Fn: f, Instr: target}})
+	blamed := a.AttributeSample(nil, []core.Frame{{Fn: f, Instr: target}})
 	names := map[string]bool{}
 	for _, bl := range blamed {
 		if bl.Sym != nil {
@@ -519,7 +519,7 @@ proc main() {
 	if target == nil {
 		t.Fatalf("no store in body\n%s", body.Dump())
 	}
-	blamed := a.AttributeSample([]core.Frame{
+	blamed := a.AttributeSample(nil, []core.Frame{
 		{Fn: body, Instr: target},
 		{Fn: main, Instr: spawn},
 	})
@@ -534,7 +534,7 @@ proc main() {
 	}
 	// The iteration domain D receives descriptor-write blame at the
 	// spawn site (the MiniMD binSpace mechanism).
-	blamedAtSpawn := a.AttributeSample([]core.Frame{{Fn: main, Instr: spawn}})
+	blamedAtSpawn := a.AttributeSample(nil, []core.Frame{{Fn: main, Instr: spawn}})
 	foundD := false
 	for _, bl := range blamedAtSpawn {
 		if bl.Sym != nil && bl.Sym.Name == "D" {

@@ -199,7 +199,7 @@ func samplePaths(a *Analysis) [][]Frame {
 func attributeAll(a *Analysis, paths [][]Frame) [][]Blamed {
 	out := make([][]Blamed, len(paths))
 	for i, p := range paths {
-		out[i] = a.AttributeSample(p)
+		out[i] = a.AttributeSample(nil, p)
 	}
 	return out
 }
@@ -231,6 +231,31 @@ func TestAttributeSampleDeterministic(t *testing.T) {
 		a1, a2 := Analyze(prog, DefaultOptions()), Analyze(prog, DefaultOptions())
 		paths := samplePaths(a1)
 		sameAttribution(t, p.Name, paths, attributeAll(a2, paths), attributeAll(a1, paths))
+	}
+}
+
+// TestAttributeSampleAppends pins the dst contract: a reused buffer
+// yields the same attribution as a fresh one, and entries already in
+// dst are kept and never deduplicate against the new sample.
+func TestAttributeSampleAppends(t *testing.T) {
+	prog := compileProgram(t, benchprog.LULESH(benchprog.LuleshOriginal))
+	a := Analyze(prog, DefaultOptions())
+	paths := samplePaths(a)
+	want := attributeAll(a, paths)
+	var buf []Blamed
+	got := make([][]Blamed, len(paths))
+	for i, p := range paths {
+		buf = a.AttributeSample(buf[:0], p)
+		got[i] = append([]Blamed(nil), buf...)
+	}
+	sameAttribution(t, "reused buffer", paths, got, want)
+	for i, p := range paths {
+		if len(want[i]) == 0 {
+			continue
+		}
+		out := a.AttributeSample(append([]Blamed(nil), want[i]...), p)
+		sameAttribution(t, "prefixed", [][]Frame{p, p}, [][]Blamed{out[:len(want[i])], out[len(want[i]):]}, [][]Blamed{want[i], want[i]})
+		break
 	}
 }
 

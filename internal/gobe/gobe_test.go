@@ -44,12 +44,21 @@ writeln("sum=", sum);
 `
 
 func TestRunnerMatchesInterpreterScalar(t *testing.T) {
-	progs := []struct{ name, src string }{
-		{"scalar.mchpl", scalarProg},
-		{"task.mchpl", taskProg},
+	alias, err := os.ReadFile(filepath.Join("..", "vm", "testdata", "alias.mchpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []struct {
+		name, src string
+		locales   int
+	}{
+		{"scalar.mchpl", scalarProg, 1},
+		{"task.mchpl", taskProg, 1},
+		// Value aliasing cases, shared with internal/vm's TestValueAliasing.
+		{"alias.mchpl", string(alias), 2},
 	}
 	for _, p := range progs {
-		spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: 1, MaxCycles: 1_000_000_000}
+		spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: p.locales, MaxCycles: 1_000_000_000}
 		interp, compiled, err := RunBoth(p.name, p.src, compile.Options{}, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)

@@ -162,6 +162,7 @@ func (p *Processor) Process(samples []sampler.RawSample, threshold uint64, stats
 	pathRows := make(map[string]*VarRow)
 	flat := make(map[string]int)
 	cum := make(map[string]int)
+	var blamed []core.Blamed // reused: each sample's result is consumed before the next
 
 	for _, s := range samples {
 		inst := p.Glue(s)
@@ -190,7 +191,8 @@ func (p *Processor) Process(samples []sampler.RawSample, threshold uint64, stats
 		}
 
 		// Data-centric attribution.
-		for _, b := range p.analysis.AttributeSample(inst.Frames) {
+		blamed = p.analysis.AttributeSample(blamed[:0], inst.Frames)
+		for _, b := range blamed {
 			if b.Path != "" {
 				r, ok := pathRows[b.Path]
 				if !ok {

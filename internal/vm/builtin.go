@@ -16,45 +16,42 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 	case "size", "length", "numIndices", "numElements":
 		switch v.K {
 		case KRange:
-			return IntVal(v.Rng.Size()), true
+			return IntVal(v.Rng().Size()), true
 		case KDomain:
-			return IntVal(v.Dom.Size()), true
+			return IntVal(v.Dom().Size()), true
 		case KArray:
-			return IntVal(v.Arr.Dom.Size()), true
+			return IntVal(v.Arr().Dom.Size()), true
 		case KTuple:
-			return IntVal(int64(len(v.Elems))), true
+			return IntVal(int64(len(v.Elems()))), true
 		}
-	case "low", "first":
+	case "low", "first", "high", "last":
+		hi := in.Method == "high" || in.Method == "last"
 		switch v.K {
 		case KRange:
-			return IntVal(v.Rng.Lo), true
+			if hi {
+				return IntVal(v.Rng().Hi), true
+			}
+			return IntVal(v.Rng().Lo), true
 		case KDomain:
-			if v.Dom.Rank == 1 {
-				return IntVal(v.Dom.Dims[0].Lo), true
+			d := v.Dom()
+			bound := func(i int) Value {
+				if hi {
+					return IntVal(d.Dims[i].Hi)
+				}
+				return IntVal(d.Dims[i].Lo)
 			}
-			out := Value{K: KTuple, Elems: make([]Value, v.Dom.Rank)}
-			for i := 0; i < v.Dom.Rank; i++ {
-				out.Elems[i] = IntVal(v.Dom.Dims[i].Lo)
+			if d.Rank == 1 {
+				return bound(0), true
 			}
-			return out, true
-		}
-	case "high", "last":
-		switch v.K {
-		case KRange:
-			return IntVal(v.Rng.Hi), true
-		case KDomain:
-			if v.Dom.Rank == 1 {
-				return IntVal(v.Dom.Dims[0].Hi), true
+			bounds := make([]Value, d.Rank)
+			for i := range bounds {
+				bounds[i] = bound(i)
 			}
-			out := Value{K: KTuple, Elems: make([]Value, v.Dom.Rank)}
-			for i := 0; i < v.Dom.Rank; i++ {
-				out.Elems[i] = IntVal(v.Dom.Dims[i].Hi)
-			}
-			return out, true
+			return TupleVal(bounds), true
 		}
 	case "domain":
 		if v.K == KArray {
-			return Value{K: KDomain, Dom: v.Arr.Dom}, true
+			return DomVal(v.Arr().Dom), true
 		}
 	case "dimlow":
 		d, ok := asDomain(v)
@@ -67,13 +64,8 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 			return IntVal(d.Dims[in.FieldIx].Hi), true
 		}
 	case "ziplow":
-		switch v.K {
-		case KRange:
-			return IntVal(v.Rng.Lo), true
-		case KDomain:
-			return IntVal(v.Dom.Dims[0].Lo), true
-		case KArray:
-			return IntVal(v.Arr.Dom.Dims[0].Lo), true
+		if d, ok := asDomain(v); ok {
+			return IntVal(d.Dims[0].Lo), true
 		}
 	case "id":
 		if v.K == KLocale {
@@ -92,14 +84,15 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 	return Value{}, false
 }
 
+// asDomain views a domain, an array's domain or a range as a domain.
 func asDomain(v Value) (DomainVal, bool) {
 	switch v.K {
 	case KDomain:
-		return v.Dom, true
+		return v.Dom(), true
 	case KArray:
-		return v.Arr.Dom, true
+		return v.Arr().Dom, true
 	case KRange:
-		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng}}, true
+		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng()}}, true
 	}
 	return DomainVal{}, false
 }
@@ -116,16 +109,16 @@ func (m *VM) domMethod(t *Task, in *ir.Instr) (Value, bool) {
 	switch in.Method {
 	case "expand":
 		if v.K == KDomain {
-			return Value{K: KDomain, Dom: v.Dom.Expand(argInt(0))}, true
+			return DomVal(v.Dom().Expand(argInt(0))), true
 		}
 	case "translate":
 		if v.K == KDomain {
-			return Value{K: KDomain, Dom: v.Dom.Translate(argInt(0))}, true
+			return DomVal(v.Dom().Translate(argInt(0))), true
 		}
 	case "interior", "exterior":
 		if v.K == KDomain {
 			// Simplified: interior(k) shrinks by |k| on the high side.
-			d := v.Dom
+			d := v.Dom()
 			k := argInt(0)
 			if k < 0 {
 				k = -k
@@ -133,14 +126,14 @@ func (m *VM) domMethod(t *Task, in *ir.Instr) (Value, bool) {
 			for i := 0; i < d.Rank; i++ {
 				d.Dims[i].Hi -= k
 			}
-			return Value{K: KDomain, Dom: d}, true
+			return DomVal(d), true
 		}
 	case "dim":
 		d, ok := asDomain(v)
 		if ok {
 			i := argInt(0) - 1 // Chapel dims are 1-based
 			if i >= 0 && int(i) < d.Rank {
-				return Value{K: KRange, Rng: d.Dims[i]}, true
+				return RngVal(d.Dims[i]), true
 			}
 		}
 	case "size":
@@ -243,18 +236,18 @@ func (m *VM) doBuiltin(t *Task, in *ir.Instr) (uint64, bool) {
 		m.assignVarV(t, in.Dst, RealVal(secs), in)
 	case "assert":
 		v := argV(0)
-		if v.K != KBool || !v.B {
+		if v.K != KBool || !v.B() {
 			m.fail(t, in, "assertion failed")
 			return 0, false
 		}
 	case "exit", "halt":
 		m.halted = true
 	case "distribute:block":
-		cell := m.cellOf(t, in.A).Deref()
-		if cell.K == KDomain {
-			v := *cell
-			v.Dom.Dist = true
-			m.bindCell(t, in.Dst, v)
+		// A new box: the source domain stays non-distributed.
+		if cell := m.cellOf(t, in.A).Deref(); cell.K == KDomain {
+			d := cell.Dom()
+			d.Dist = true
+			m.bindCell(t, in.Dst, DomVal(d))
 		}
 	case "stride_check":
 		if argV(0).AsInt() <= 0 {
@@ -318,7 +311,7 @@ func (m *VM) atomicBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 			if op == "sub" {
 				d = -d
 			}
-			next = RealVal(cell.F + d)
+			next = RealVal(cell.F() + d)
 		default:
 			d := delta.AsInt()
 			if op == "sub" {
@@ -380,7 +373,7 @@ func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 		m.fail(t, in, "reduce over non-array %s", v)
 		return 0, false
 	}
-	arr := v.Arr
+	arr := v.Arr()
 	n := arr.Dom.Size()
 	idx := make([]int64, arr.Dom.Rank)
 	var accF float64

@@ -17,8 +17,8 @@ type defSlot struct {
 type defMode uint8
 
 const (
-	// defDirect assigns v as-is (self-contained values: scalars, strings,
-	// ranges, domains, locales — no shared backing storage).
+	// defDirect assigns v as-is (scalars, locales, and strings, ranges
+	// and domains, whose boxes are immutable and safe to share).
 	defDirect defMode = iota
 	// defCopy assigns v.Copy() (tuples/records whose element storage must
 	// be private per frame).

@@ -45,7 +45,7 @@ func (m *VM) step(t *Task) bool {
 		if in.Rebind && in.A != m.hereVar {
 			// `ref r = x`: bind r to x's storage instead of copying, so
 			// writes through r reach x (and the blame edge is an alias).
-			m.bindCell(t, in.Dst, makeRef(m.cellOf(t, in.A)))
+			m.bindCell(t, in.Dst, MakeRef(m.cellOf(t, in.A)))
 			break
 		}
 		src := m.readPtr(t, in.A)
@@ -56,7 +56,7 @@ func (m *VM) step(t *Task) bool {
 		b := m.readPtr(t, in.B)
 		// Fast path: int/real/bool operands into a non-composite cell
 		// write the result in place (assignVar would reduce to a plain
-		// scalar store anyway), skipping two ~200-byte Value copies.
+		// scalar store anyway).
 		if in.Dst != nil {
 			dst := m.cellOf(t, in.Dst)
 			if dst.K == KRef {
@@ -96,7 +96,7 @@ func (m *VM) step(t *Task) bool {
 		for i, a := range in.Args {
 			elems[i] = *m.readPtr(t, a)
 		}
-		v := Value{K: KTuple, Elems: elems}
+		v := TupleVal(elems)
 		m.assignVar(t, in.Dst, &v, in)
 
 	case ir.OpTupleGet:
@@ -108,7 +108,7 @@ func (m *VM) step(t *Task) bool {
 		if ix < 0 {
 			return false
 		}
-		m.assignVar(t, in.Dst, &base.Elems[ix], in)
+		m.assignVar(t, in.Dst, &base.Elems()[ix], in)
 
 	case ir.OpTupleSet:
 		base := m.cellOf(t, in.Dst).Deref()
@@ -120,8 +120,7 @@ func (m *VM) step(t *Task) bool {
 		if ix < 0 {
 			return false
 		}
-		src := m.readPtr(t, in.A)
-		copyValueInto(&base.Elems[ix], src)
+		base.Elems()[ix] = m.readPtr(t, in.A).Copy()
 
 	case ir.OpField:
 		cycles += m.classDerefCost(t, in.A)
@@ -150,7 +149,7 @@ func (m *VM) step(t *Task) bool {
 			return false
 		}
 		acc = arr
-		m.bindCell(t, in.Dst, makeRef(cell))
+		m.bindCell(t, in.Dst, MakeRef(cell))
 
 	case ir.OpIndex:
 		cell, arr, idx, ok := m.elemCell(t, in, in.A)
@@ -181,7 +180,7 @@ func (m *VM) step(t *Task) bool {
 		}
 		acc = arr
 		cycles += m.commCost(t, arr, idx, 8, false)
-		m.bindCell(t, in.Dst, makeRef(cell))
+		m.bindCell(t, in.Dst, MakeRef(cell))
 
 	case ir.OpSlice:
 		base := m.readCellChecked(t, in.A, in)
@@ -190,13 +189,13 @@ func (m *VM) step(t *Task) bool {
 			return false
 		}
 		idx := m.readVal(t, in.B)
-		view, err := sliceArray(base.Arr, idx)
+		view, err := sliceArray(base.Arr(), idx)
 		if err != "" {
 			m.fail(t, in, "%s", err)
 			return false
 		}
-		acc = base.Arr.Owner()
-		m.bindCell(t, in.Dst, Value{K: KArray, Arr: view})
+		acc = base.Arr().Owner()
+		m.bindCell(t, in.Dst, ArrVal(view))
 
 	case ir.OpMakeRange:
 		lo := m.readVal(t, in.A).AsInt()
@@ -212,7 +211,7 @@ func (m *VM) step(t *Task) bool {
 				return false
 			}
 		}
-		rv := Value{K: KRange, Rng: r}
+		rv := RngVal(r)
 		m.assignVar(t, in.Dst, &rv, in)
 
 	case ir.OpMakeDomain:
@@ -223,9 +222,9 @@ func (m *VM) step(t *Task) bool {
 				m.fail(t, in, "domain dimension %d is not a range", i+1)
 				return false
 			}
-			d.Dims[i] = rv.Rng
+			d.Dims[i] = rv.Rng()
 		}
-		dv := Value{K: KDomain, Dom: d}
+		dv := DomVal(d)
 		m.assignVar(t, in.Dst, &dv, in)
 
 	case ir.OpDomMethod:
@@ -252,7 +251,7 @@ func (m *VM) step(t *Task) bool {
 		if in.B != nil {
 			bv := m.readVal(t, in.B)
 			if bv.K == KDomain {
-				d := bv.Dom
+				d := bv.Dom()
 				inner = &d
 			}
 		}
@@ -261,9 +260,9 @@ func (m *VM) step(t *Task) bool {
 		if at != nil {
 			elemT = at.Elem
 		}
-		arr, extra := m.allocArray(t, elemT, dv.Dom, inner, in.Dst, in)
+		arr, extra := m.allocArray(t, elemT, dv.Dom(), inner, in.Dst, in)
 		cycles += extra
-		m.bindCell(t, in.Dst, Value{K: KArray, Arr: arr})
+		m.bindCell(t, in.Dst, ArrVal(arr))
 
 	case ir.OpAllocRec:
 		rt, _ := in.Dst.Type.(*types.RecordType)
@@ -273,7 +272,7 @@ func (m *VM) step(t *Task) bool {
 		}
 		obj, extra := m.allocInstance(t, rt, in.Dst, in)
 		cycles += extra
-		ov := Value{K: KClass, Obj: obj}
+		ov := ObjVal(obj)
 		m.assignVar(t, in.Dst, &ov, in)
 
 	case ir.OpCall:
@@ -337,7 +336,7 @@ func (m *VM) step(t *Task) bool {
 			m.fail(t, in, "branch on non-bool %s", cond)
 			return false
 		}
-		if cond.B {
+		if cond.B() {
 			act.Block = in.Targets[0]
 		} else {
 			act.Block = in.Targets[1]
@@ -433,17 +432,9 @@ func (m *VM) bindCell(t *Task, v *ir.Var, val Value) {
 	*m.cellOf(t, v) = val
 }
 
-// makeRef wraps a cell as a reference, collapsing ref-to-ref.
-func makeRef(cell *Value) Value {
-	if cell.K == KRef {
-		return *cell
-	}
-	return Value{K: KRef, Ref: cell}
-}
-
 // assignVar assigns through refs with array-aware semantics; returns
-// extra cycles for bulk copies. src is a pointer to avoid copying the
-// Value through the call (see copyValueInto for the aliasing argument).
+// extra cycles for bulk copies. src may alias the destination or its
+// elements: assignInto builds each copy before it stores it.
 func (m *VM) assignVar(t *Task, v *ir.Var, src *Value, in *ir.Instr) uint64 {
 	if v == nil {
 		return 0
@@ -466,11 +457,10 @@ func (m *VM) assignVarV(t *Task, v *ir.Var, src Value, in *ir.Instr) uint64 {
 // scalars broadcast over arrays and tuples, everything else deep-copies.
 func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 	src = src.Deref()
-	if cell.K == KArray && cell.Arr != nil {
-		dst := cell.Arr
+	if dst := cell.Arr(); dst != nil {
 		switch src.K {
 		case KArray:
-			return m.copyArray(dst, src.Arr)
+			return m.copyArray(dst, src.Arr())
 		default:
 			// Broadcast scalar.
 			n := dst.Dom.Size()
@@ -478,27 +468,28 @@ func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 			for p := int64(0); p < n; p++ {
 				dst.Dom.Unlinear(p, idx)
 				if c := dst.Cell(idx); c != nil {
-					copyValueInto(c, src)
+					*c = src.Copy()
 				}
 			}
 			return uint64(n) * m.cost(m.Cfg.Costs.PerElem)
 		}
 	}
-	if cell.K == KNil && src.K == KArray && src.Arr != nil {
+	if cell.K == KNil && src.Arr() != nil {
 		// Fresh array binding from an initializer: clone.
-		clone, extra := m.cloneArray(src.Arr)
-		*cell = Value{K: KArray, Arr: clone}
+		clone, extra := m.cloneArray(src.Arr())
+		*cell = ArrVal(clone)
 		return extra
 	}
 	if (cell.K == KTuple || cell.K == KRecord) && src.K != cell.K {
 		// Scalar broadcast over tuple.
-		for i := range cell.Elems {
-			copyValueInto(&cell.Elems[i], src)
+		elems := cell.Elems()
+		for i := range elems {
+			elems[i] = src.Copy()
 		}
-		return uint64(len(cell.Elems)) * m.cost(m.Cfg.Costs.PerElem)
+		return uint64(len(elems)) * m.cost(m.Cfg.Costs.PerElem)
 	}
 	n := src.FlatSize()
-	copyValueInto(cell, src)
+	*cell = src.Copy()
 	if n > 1 {
 		return uint64(n-1) * m.cost(m.Cfg.Costs.PerElem)
 	}
@@ -567,8 +558,8 @@ func (m *VM) tupleIndex(t *Task, in *ir.Instr, base *Value) int {
 	if base.K == KTuple {
 		ix-- // Chapel tuples are 1-based
 	}
-	if ix < 0 || int(ix) >= len(base.Elems) {
-		m.fail(t, in, "tuple index %d out of bounds (size %d)", ix+1, len(base.Elems))
+	if n := len(base.Elems()); ix < 0 || int(ix) >= n {
+		m.fail(t, in, "tuple index %d out of bounds (size %d)", ix+1, n)
 		return -1
 	}
 	return int(ix)
@@ -580,21 +571,23 @@ func (m *VM) fieldCell(t *Task, in *ir.Instr, baseVar *ir.Var, fieldIx int) (*Va
 	base := m.cellOf(t, baseVar).Deref()
 	switch base.K {
 	case KRecord, KTuple:
-		if fieldIx < 0 || fieldIx >= len(base.Elems) {
+		elems := base.Elems()
+		if fieldIx < 0 || fieldIx >= len(elems) {
 			m.fail(t, in, "field index %d out of range", fieldIx)
 			return nil, nil
 		}
-		return &base.Elems[fieldIx], nil
+		return &elems[fieldIx], nil
 	case KClass:
-		if base.Obj == nil {
+		obj := base.Obj()
+		if obj == nil {
 			m.fail(t, in, "field access on nil class instance")
 			return nil, nil
 		}
-		if fieldIx < 0 || fieldIx >= len(base.Obj.Fields) {
+		if fieldIx < 0 || fieldIx >= len(obj.Fields) {
 			m.fail(t, in, "field index %d out of range", fieldIx)
 			return nil, nil
 		}
-		return &base.Obj.Fields[fieldIx], nil
+		return &obj.Fields[fieldIx], nil
 	}
 	m.fail(t, in, "field access on %s", base)
 	return nil, nil
@@ -609,9 +602,10 @@ func (m *VM) refFieldCell(t *Task, in *ir.Instr) (*Value, *ArrayVal) {
 		if ix < 0 {
 			return nil, nil
 		}
-		return &base.Elems[ix], nil
+		return &base.Elems()[ix], nil
 	case KClass:
-		if base.Obj == nil {
+		obj := base.Obj()
+		if obj == nil {
 			m.fail(t, in, "field access on nil class instance")
 			return nil, nil
 		}
@@ -619,11 +613,11 @@ func (m *VM) refFieldCell(t *Task, in *ir.Instr) (*Value, *ArrayVal) {
 		if ix < 0 {
 			ix = int(m.readVal(t, in.B).AsInt())
 		}
-		if ix < 0 || ix >= len(base.Obj.Fields) {
+		if ix < 0 || ix >= len(obj.Fields) {
 			m.fail(t, in, "field index out of range")
 			return nil, nil
 		}
-		return &base.Obj.Fields[ix], nil
+		return &obj.Fields[ix], nil
 	}
 	m.fail(t, in, "ref-field on %s", base)
 	return nil, nil
@@ -633,18 +627,18 @@ func (m *VM) refFieldCell(t *Task, in *ir.Instr) (*Value, *ArrayVal) {
 // returning the owning allocation and the resolved index.
 func (m *VM) elemCell(t *Task, in *ir.Instr, baseVar *ir.Var) (*Value, *ArrayVal, []int64, bool) {
 	base := m.cellOf(t, baseVar).Deref()
-	if base.K != KArray || base.Arr == nil {
+	arr := base.Arr()
+	if arr == nil {
 		m.fail(t, in, "indexing non-array value %s (var %s)", base, baseVar.Name)
 		return nil, nil, nil, false
 	}
-	arr := base.Arr
 	// Resolved indices live in a VM scratch buffer: element accesses
 	// dominate hot loops and the indices never outlive the instruction.
 	idx := m.idxScratch[:0]
 	if len(in.Args) == 1 {
 		iv := m.readVal(t, in.Args[0])
 		if iv.K == KTuple {
-			for _, e := range iv.Elems {
+			for _, e := range iv.Elems() {
 				idx = append(idx, e.AsInt())
 			}
 		} else {
@@ -676,9 +670,9 @@ func sliceArray(base *ArrayVal, idx Value) (*ArrayVal, string) {
 	var d DomainVal
 	switch idx.K {
 	case KDomain:
-		d = idx.Dom
+		d = idx.Dom()
 	case KRange:
-		d = DomainVal{Rank: 1, Dims: [3]RangeVal{idx.Rng}}
+		d = DomainVal{Rank: 1, Dims: [3]RangeVal{idx.Rng()}}
 	default:
 		return nil, "slice index must be a domain or range"
 	}
@@ -820,8 +814,7 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 
 // evalBin computes a binary operation with promotion over tuples and
 // arrays. Returns extra cycles for elementwise work. Operands are passed
-// by pointer (and only read): binary ops run on every hot-loop iteration
-// and Value is too large to copy per call.
+// by pointer (and only read) so refs resolve in place.
 func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	a = a.Deref()
 	b = b.Deref()
@@ -835,9 +828,9 @@ func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	}
 	switch op {
 	case token.AND:
-		return BoolVal(a.B && b.B), 0, a.K == KBool && b.K == KBool
+		return BoolVal(a.B() && b.B()), 0, a.K == KBool && b.K == KBool
 	case token.OR:
-		return BoolVal(a.B || b.B), 0, a.K == KBool && b.K == KBool
+		return BoolVal(a.B() || b.B()), 0, a.K == KBool && b.K == KBool
 	case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
 		return compare(op, a, b)
 	}
@@ -880,7 +873,7 @@ func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 		}
 	}
 	if a.K == KString && b.K == KString && op == token.PLUS {
-		return StrVal(a.S + b.S), 0, true
+		return StrVal(a.S() + b.S()), 0, true
 	}
 	return Value{}, 0, false
 }
@@ -919,7 +912,7 @@ func binScalarInto(op token.Kind, a, b, out *Value) (handled, ok bool) {
 		default:
 			return false, false
 		}
-		*out = Value{K: KInt, I: n}
+		*out = IntVal(n)
 		return true, true
 	}
 	if (a.K == KInt || a.K == KReal) && (b.K == KInt || b.K == KReal) {
@@ -941,24 +934,24 @@ func binScalarInto(op token.Kind, a, b, out *Value) (handled, ok bool) {
 		default:
 			return false, false
 		}
-		*out = Value{K: KReal, F: f}
+		*out = RealVal(f)
 		return true, true
 	}
 	if a.K == KBool && b.K == KBool {
 		var r bool
 		switch op {
 		case token.AND:
-			r = a.B && b.B
+			r = a.B() && b.B()
 		case token.OR:
-			r = a.B || b.B
+			r = a.B() || b.B()
 		case token.EQ:
-			r = a.B == b.B
+			r = a.B() == b.B()
 		case token.NEQ:
-			r = a.B != b.B
+			r = a.B() != b.B()
 		default:
 			return false, false
 		}
-		*out = Value{K: KBool, B: r}
+		*out = BoolVal(r)
 		return true, true
 	}
 	return false, false
@@ -982,20 +975,14 @@ func cmpRealInto(op token.Kind, x, y float64, out *Value) bool {
 	case token.GE:
 		r = x >= y
 	}
-	*out = Value{K: KBool, B: r}
+	*out = BoolVal(r)
 	return true
 }
 
 func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	// Class/nil comparisons.
 	if a.K == KClass || b.K == KClass || a.K == KNil || b.K == KNil {
-		var ap, bp *Instance
-		if a.K == KClass {
-			ap = a.Obj
-		}
-		if b.K == KClass {
-			bp = b.Obj
-		}
+		ap, bp := a.Obj(), b.Obj()
 		switch op {
 		case token.EQ:
 			return BoolVal(ap == bp), 0, true
@@ -1007,17 +994,17 @@ func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	if a.K == KString && b.K == KString {
 		switch op {
 		case token.EQ:
-			return BoolVal(a.S == b.S), 0, true
+			return BoolVal(a.S() == b.S()), 0, true
 		case token.NEQ:
-			return BoolVal(a.S != b.S), 0, true
+			return BoolVal(a.S() != b.S()), 0, true
 		}
 	}
 	if a.K == KBool && b.K == KBool {
 		switch op {
 		case token.EQ:
-			return BoolVal(a.B == b.B), 0, true
+			return BoolVal(a.B() == b.B()), 0, true
 		case token.NEQ:
-			return BoolVal(a.B != b.B), 0, true
+			return BoolVal(a.B() != b.B()), 0, true
 		}
 	}
 	x, y := a.AsReal(), b.AsReal()
@@ -1039,45 +1026,43 @@ func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 }
 
 func (m *VM) evalTupleBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
-	var n int
-	if a.K == KTuple {
-		n = len(a.Elems)
-	} else {
-		n = len(b.Elems)
+	ae, be := a.Elems(), b.Elems()
+	n := len(ae)
+	if a.K != KTuple {
+		n = len(be)
 	}
-	if a.K == KTuple && b.K == KTuple && len(a.Elems) != len(b.Elems) {
+	if a.K == KTuple && b.K == KTuple && len(ae) != len(be) {
 		return Value{}, 0, false
 	}
-	out := Value{K: KTuple, Elems: make([]Value, n)}
+	out := make([]Value, n)
 	var extra uint64
 	for i := 0; i < n; i++ {
 		ea, eb := a, b
 		if a.K == KTuple {
-			ea = &a.Elems[i]
+			ea = &ae[i]
 		}
 		if b.K == KTuple {
-			eb = &b.Elems[i]
+			eb = &be[i]
 		}
 		v, e, ok := m.evalBin(op, ea, eb)
 		if !ok {
 			return Value{}, 0, false
 		}
-		out.Elems[i] = v
+		out[i] = v
 		extra += e + m.cost(m.Cfg.Costs.PerElem)
 	}
 	// Tuple arithmetic constructs a fresh result tuple (Chapel tuple ops
 	// are not in-place) — the construction/destruction overhead the CENN
 	// rewrite eliminates (paper §V.C).
 	extra += m.cost(m.Cfg.Costs.TupleBase + uint64(n)*m.Cfg.Costs.TuplePerEl)
-	return out, extra, true
+	return TupleVal(out), extra, true
 }
 
 func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
-	var src *ArrayVal
-	if a.K == KArray {
-		src = a.Arr
-	} else {
-		src = b.Arr
+	aa, ba := a.Arr(), b.Arr()
+	src := aa
+	if src == nil {
+		src = ba
 	}
 	out := &ArrayVal{Dom: src.Dom, Layout: src.Dom, ElemT: src.ElemT, Data: make([]Value, src.Dom.Size()), LocaleID: src.LocaleID}
 	var extra uint64
@@ -1085,15 +1070,15 @@ func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	for p := int64(0); p < src.Dom.Size(); p++ {
 		src.Dom.Unlinear(p, ia)
 		ea, eb := a, b
-		if a.K == KArray {
-			c := a.Arr.Cell(ia)
+		if aa != nil {
+			c := aa.Cell(ia)
 			if c == nil {
 				return Value{}, 0, false
 			}
 			ea = c
 		}
-		if b.K == KArray {
-			c := b.Arr.Cell(ia)
+		if ba != nil {
+			c := ba.Cell(ia)
 			if c == nil {
 				return Value{}, 0, false
 			}
@@ -1106,7 +1091,7 @@ func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 		out.Data[p] = v
 		extra += e + m.cost(m.Cfg.Costs.PerElem)
 	}
-	return Value{K: KArray, Arr: out}, extra, true
+	return ArrVal(out), extra, true
 }
 
 func evalUn(op token.Kind, a *Value) (Value, bool) {
@@ -1117,21 +1102,22 @@ func evalUn(op token.Kind, a *Value) (Value, bool) {
 		case KInt:
 			return IntVal(-a.I), true
 		case KReal:
-			return RealVal(-a.F), true
+			return RealVal(-a.F()), true
 		case KTuple:
-			out := Value{K: KTuple, Elems: make([]Value, len(a.Elems))}
-			for i := range a.Elems {
-				v, ok := evalUn(op, &a.Elems[i])
+			ae := a.Elems()
+			out := make([]Value, len(ae))
+			for i := range ae {
+				v, ok := evalUn(op, &ae[i])
 				if !ok {
 					return Value{}, false
 				}
-				out.Elems[i] = v
+				out[i] = v
 			}
-			return out, true
+			return TupleVal(out), true
 		}
 	case token.NOT:
 		if a.K == KBool {
-			return BoolVal(!a.B), true
+			return BoolVal(!a.B()), true
 		}
 	}
 	return Value{}, false
@@ -1169,11 +1155,11 @@ func (m *VM) defaultValue(t types.Type) Value {
 		}
 		return Value{}
 	case *types.TupleType:
-		out := Value{K: KTuple, Elems: make([]Value, tt.Count)}
-		for i := range out.Elems {
-			out.Elems[i] = m.defaultValue(tt.Elem)
+		elems := make([]Value, tt.Count)
+		for i := range elems {
+			elems[i] = m.defaultValue(tt.Elem)
 		}
-		return out
+		return TupleVal(elems)
 	case *types.RecordType:
 		if tt.IsClass {
 			return Value{K: KNil}
@@ -1182,9 +1168,9 @@ func (m *VM) defaultValue(t types.Type) Value {
 	case *types.AtomicType:
 		return m.defaultValue(tt.Elem)
 	case *types.RangeType:
-		return Value{K: KRange, Rng: RangeVal{Lo: 0, Hi: -1, Stride: 1}}
+		return RngVal(RangeVal{Lo: 0, Hi: -1, Stride: 1})
 	case *types.DomainType:
-		return Value{K: KDomain, Dom: DomainVal{Rank: tt.Rank}}
+		return DomVal(DomainVal{Rank: tt.Rank})
 	case *types.ArrayType:
 		// Unallocated array slot: filled by OpAllocArray or cloning.
 		return Value{}
@@ -1195,18 +1181,18 @@ func (m *VM) defaultValue(t types.Type) Value {
 // defaultRecord builds a record value, allocating array fields over their
 // registered global domains.
 func (m *VM) defaultRecord(rt *types.RecordType, ownerVar *ir.Var, site *ir.Instr) Value {
-	out := Value{K: KRecord, RT: rt, Elems: make([]Value, len(rt.Fields))}
+	fields := make([]Value, len(rt.Fields))
 	for i, f := range rt.Fields {
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
 				arr, _ := m.allocArray(nil, at.Elem, dv, nil, ownerVar, site)
-				out.Elems[i] = Value{K: KArray, Arr: arr}
+				fields[i] = ArrVal(arr)
 				continue
 			}
 		}
-		out.Elems[i] = m.defaultValue(f.Type)
+		fields[i] = m.defaultValue(f.Type)
 	}
-	return out
+	return RecordVal(fields)
 }
 
 // fieldDomainValue reads the registered domain global for record field i.
@@ -1223,7 +1209,7 @@ func (m *VM) fieldDomainValue(rt *types.RecordType, i int) (DomainVal, bool) {
 	if v.K != KDomain {
 		return DomainVal{}, false
 	}
-	return v.Dom, true
+	return v.Dom(), true
 }
 
 // allocArray creates an array over dom; nested element arrays are
@@ -1254,7 +1240,7 @@ func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainV
 				d = *inner
 			}
 			sub, e := m.allocArray(t, et.Elem, d, nil, ownerVar, site)
-			arr.Data[i] = Value{K: KArray, Arr: sub}
+			arr.Data[i] = ArrVal(sub)
 			extra += e
 		}
 	case *types.RecordType:
@@ -1300,7 +1286,7 @@ func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var, site
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
 				arr, e := m.allocArray(t, at.Elem, dv, nil, ownerVar, site)
-				obj.Fields[i] = Value{K: KArray, Arr: arr}
+				obj.Fields[i] = ArrVal(arr)
 				extra += e
 				continue
 			}
@@ -1342,14 +1328,14 @@ func (m *VM) doCall(t *Task, in *ir.Instr) {
 			if av == m.hereVar {
 				na.Slots[p.Slot] = Value{K: KLocale, I: int64(t.Locale)}
 			} else {
-				na.Slots[p.Slot] = makeRef(m.cellOf(t, av))
+				na.Slots[p.Slot] = MakeRef(m.cellOf(t, av))
 			}
 		} else {
 			v := m.readPtr(t, av)
 			if n := v.FlatSize(); n > 1 {
 				extra += uint64(n-1) * m.cost(m.Cfg.Costs.PerElem)
 			}
-			copyValueInto(&na.Slots[p.Slot], v)
+			na.Slots[p.Slot] = v.Copy()
 		}
 	}
 	if extra > 0 {
@@ -1368,7 +1354,7 @@ func (m *VM) doCall(t *Task, in *ir.Instr) {
 		case defDirect:
 			na.Slots[d.slot] = d.v
 		case defCopy:
-			copyValueInto(&na.Slots[d.slot], &d.v)
+			na.Slots[d.slot] = d.v.Copy()
 		default:
 			na.Slots[d.slot] = m.defaultValue(d.typ)
 		}

@@ -23,7 +23,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 		if av == m.hereVar {
 			captures[i] = Value{K: KLocale, I: int64(t.Locale)}
 		} else {
-			captures[i] = makeRef(m.cellOf(t, av))
+			captures[i] = MakeRef(m.cellOf(t, av))
 		}
 	}
 
@@ -51,7 +51,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 				extra := sp.ExtraArgs[i-1]
 				bodyArgs = make([]Value, len(extra))
 				for k, av := range extra {
-					bodyArgs[k] = makeRef(m.cellOf(t, av))
+					bodyArgs[k] = MakeRef(m.cellOf(t, av))
 				}
 			}
 			m.pushFrame(child, bf, bodyArgs, nil)
@@ -254,13 +254,8 @@ func (m *VM) iterSpace(t *Task, in *ir.Instr) (DomainVal, bool) {
 		return DomainVal{}, false
 	}
 	v := m.readVal(t, sp.Iter)
-	switch v.K {
-	case KRange:
-		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng}}, true
-	case KDomain:
-		return v.Dom, true
-	case KArray:
-		return v.Arr.Dom, true
+	if d, ok := asDomain(v); ok {
+		return d, true
 	}
 	m.fail(t, in, "cannot iterate over %s", v)
 	return DomainVal{}, false

@@ -12,7 +12,9 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -38,50 +40,111 @@ const (
 	KLocale // locale id in I
 )
 
-// Value is a runtime value. Records and tuples store their elements in
-// Elems; assignment deep-copies them (value semantics), while arrays and
-// class instances are reference descriptors.
+// Value is a runtime value: a kind tag, one scalar word and one
+// reference word (24 bytes, so moves are register copies and an array
+// element costs three words).
+//
+//   - I is the scalar word: the int64 of KInt, the IEEE-754 bits of KReal
+//     (read them with F), 0 or 1 for KBool and the locale id of KLocale.
+//     For KString, KTuple and KRecord it holds the length of what p
+//     points at.
+//   - p is the reference word, typed by K: the string's bytes, the first
+//     tuple/record element, a *DomainVal or *RangeVal box, the referenced
+//     cell (KRef), the *ArrayVal or the *Instance. Scalars leave it nil.
+//     Outside the scalar kinds the constructors set I and p together, and
+//     nothing writes either alone.
+//
+// Domain and range boxes are immutable once a Value holds them: every
+// change builds a new box, so copies share them freely. Tuple and record
+// elements belong to the cell holding them — assignment deep-copies them
+// (Copy) and stores into them mutate in place — while arrays and class
+// instances are shared by reference.
 type Value struct {
-	K     Kind
-	I     int64
-	F     float64
-	B     bool
-	S     string
-	Elems []Value
-	RT    *types.RecordType // for KRecord
-	Arr   *ArrayVal
-	Dom   DomainVal
-	Rng   RangeVal
-	Ref   *Value
-	Obj   *Instance
+	K Kind
+	I int64
+	p unsafe.Pointer
+}
+
+// F returns a KReal's value.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// B returns a KBool's value.
+func (v Value) B() bool { return v.I != 0 }
+
+// S returns a KString's value ("" for other kinds).
+func (v Value) S() string {
+	if v.K != KString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.I)
+}
+
+// Elems returns a tuple's elements or a record's fields (nil for other
+// kinds). The slice aliases the value's storage: element stores write
+// through.
+func (v Value) Elems() []Value {
+	if v.K != KTuple && v.K != KRecord {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), v.I)
+}
+
+// Arr returns a KArray's descriptor (nil for other kinds).
+func (v Value) Arr() *ArrayVal {
+	if v.K != KArray {
+		return nil
+	}
+	return (*ArrayVal)(v.p)
+}
+
+// Dom returns a copy of a KDomain's index set (the zero domain for other
+// kinds); the box itself is never written.
+func (v Value) Dom() DomainVal {
+	if v.K != KDomain || v.p == nil {
+		return DomainVal{}
+	}
+	return *(*DomainVal)(v.p)
+}
+
+// Rng returns a KRange's bounds (the zero range for other kinds).
+func (v Value) Rng() RangeVal {
+	if v.K != KRange || v.p == nil {
+		return RangeVal{}
+	}
+	return *(*RangeVal)(v.p)
+}
+
+// Ref returns the cell a KRef refers to (nil for other kinds).
+func (v Value) Ref() *Value {
+	if v.K != KRef {
+		return nil
+	}
+	return (*Value)(v.p)
+}
+
+// Obj returns a KClass's instance (nil for other kinds and nil handles).
+func (v Value) Obj() *Instance {
+	if v.K != KClass {
+		return nil
+	}
+	return (*Instance)(v.p)
 }
 
 // Copy returns a deep copy with value semantics (tuples/records copied,
-// arrays/instances shared by reference).
+// arrays/instances shared by reference, immutable boxes shared).
 func (v Value) Copy() Value {
-	switch v.K {
-	case KTuple, KRecord:
-		out := v
-		out.Elems = cloneTree(v.Elems)
-		return out
+	if v.K == KTuple || v.K == KRecord {
+		v.p = elemsPtr(cloneTree(v.Elems()))
 	}
 	return v
 }
 
-// copyValueInto deep-copies *src into *dst with the same semantics as
-// Copy, but without passing the ~200-byte Value through parameters and
-// return slots (the interpreter's hottest copy path). It tolerates
-// aliasing — dst == src, or src pointing into dst's element storage —
-// because the source element slice is captured before dst's header is
-// overwritten.
-func copyValueInto(dst, src *Value) {
-	if src.K == KTuple || src.K == KRecord {
-		elems := src.Elems
-		*dst = *src
-		dst.Elems = cloneTree(elems)
-		return
+// elemsPtr is the reference word of a tuple/record over elems.
+func elemsPtr(elems []Value) unsafe.Pointer {
+	if len(elems) == 0 {
+		return nil
 	}
-	*dst = *src
+	return unsafe.Pointer(unsafe.SliceData(elems))
 }
 
 // cloneTree deep-copies a tuple/record element tree into one backing
@@ -98,9 +161,7 @@ func cloneTree(elems []Value) []Value {
 func countTree(elems []Value) int {
 	n := len(elems)
 	for i := range elems {
-		if k := elems[i].K; k == KTuple || k == KRecord {
-			n += countTree(elems[i].Elems)
-		}
+		n += countTree(elems[i].Elems())
 	}
 	return n
 }
@@ -114,7 +175,9 @@ func cloneInto(src, buf []Value) ([]Value, []Value) {
 	out := buf[off : off+len(src) : off+len(src)]
 	for i := range out {
 		if k := out[i].K; k == KTuple || k == KRecord {
-			out[i].Elems, buf = cloneInto(out[i].Elems, buf)
+			var sub []Value
+			sub, buf = cloneInto(out[i].Elems(), buf)
+			out[i].p = elemsPtr(sub)
 		}
 	}
 	return out, buf
@@ -126,8 +189,8 @@ func (v Value) FlatSize() int {
 	switch v.K {
 	case KTuple, KRecord:
 		n := 0
-		for i := range v.Elems {
-			n += v.Elems[i].FlatSize()
+		for _, e := range v.Elems() {
+			n += e.FlatSize()
 		}
 		return n
 	}
@@ -138,7 +201,7 @@ func (v Value) FlatSize() int {
 func (v *Value) Deref() *Value {
 	x := v
 	for x.K == KRef {
-		x = x.Ref
+		x = (*Value)(x.p)
 	}
 	return x
 }
@@ -150,15 +213,15 @@ func (v Value) String() string {
 	case KInt:
 		return fmt.Sprintf("%d", v.I)
 	case KReal:
-		return formatReal(v.F)
+		return formatReal(v.F())
 	case KBool:
-		return fmt.Sprintf("%t", v.B)
+		return fmt.Sprintf("%t", v.B())
 	case KString:
-		return v.S
+		return v.S()
 	case KTuple, KRecord:
 		var b strings.Builder
 		b.WriteByte('(')
-		for i, e := range v.Elems {
+		for i, e := range v.Elems() {
 			if i > 0 {
 				b.WriteString(", ")
 			}
@@ -167,18 +230,18 @@ func (v Value) String() string {
 		b.WriteByte(')')
 		return b.String()
 	case KArray:
-		return v.Arr.String()
+		return v.Arr().String()
 	case KDomain:
-		return v.Dom.String()
+		return v.Dom().String()
 	case KRange:
-		return v.Rng.String()
+		return v.Rng().String()
 	case KRef:
 		return v.Deref().String()
 	case KClass:
-		if v.Obj == nil {
+		if v.Obj() == nil {
 			return "nil"
 		}
-		return "{" + v.Obj.String() + "}"
+		return "{" + v.Obj().String() + "}"
 	case KLocale:
 		return fmt.Sprintf("LOCALE%d", v.I)
 	}
@@ -201,12 +264,9 @@ func (v Value) AsInt() int64 {
 	case KInt:
 		return v.I
 	case KReal:
-		return int64(v.F)
+		return int64(v.F())
 	case KBool:
-		if v.B {
-			return 1
-		}
-		return 0
+		return v.I
 	case KRef:
 		return v.Deref().AsInt()
 	}
@@ -219,7 +279,7 @@ func (v Value) AsReal() float64 {
 	case KInt:
 		return float64(v.I)
 	case KReal:
-		return v.F
+		return v.F()
 	case KRef:
 		return v.Deref().AsReal()
 	}
@@ -230,13 +290,51 @@ func (v Value) AsReal() float64 {
 func IntVal(i int64) Value { return Value{K: KInt, I: i} }
 
 // RealVal makes a KReal value.
-func RealVal(f float64) Value { return Value{K: KReal, F: f} }
+func RealVal(f float64) Value { return Value{K: KReal, I: int64(math.Float64bits(f))} }
 
 // BoolVal makes a KBool value.
-func BoolVal(b bool) Value { return Value{K: KBool, B: b} }
+func BoolVal(b bool) Value {
+	v := Value{K: KBool}
+	if b {
+		v.I = 1
+	}
+	return v
+}
 
 // StrVal makes a KString value.
-func StrVal(s string) Value { return Value{K: KString, S: s} }
+func StrVal(s string) Value {
+	return Value{K: KString, I: int64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// TupleVal makes a KTuple over elems, which it takes ownership of.
+func TupleVal(elems []Value) Value {
+	return Value{K: KTuple, I: int64(len(elems)), p: elemsPtr(elems)}
+}
+
+// RecordVal makes a KRecord over fields, which it takes ownership of.
+func RecordVal(fields []Value) Value {
+	return Value{K: KRecord, I: int64(len(fields)), p: elemsPtr(fields)}
+}
+
+// ArrVal makes a KArray handle.
+func ArrVal(a *ArrayVal) Value { return Value{K: KArray, p: unsafe.Pointer(a)} }
+
+// ObjVal makes a KClass handle.
+func ObjVal(o *Instance) Value { return Value{K: KClass, p: unsafe.Pointer(o)} }
+
+// DomVal makes a KDomain in a fresh box.
+func DomVal(d DomainVal) Value { return Value{K: KDomain, p: unsafe.Pointer(&d)} }
+
+// RngVal makes a KRange in a fresh box.
+func RngVal(r RangeVal) Value { return Value{K: KRange, p: unsafe.Pointer(&r)} }
+
+// MakeRef wraps a cell as a reference, collapsing ref-to-ref.
+func MakeRef(cell *Value) Value {
+	if cell.K == KRef {
+		return *cell
+	}
+	return Value{K: KRef, p: unsafe.Pointer(cell)}
+}
 
 // ------------------------------------------------------------------ range
 

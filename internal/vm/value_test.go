@@ -3,6 +3,7 @@ package vm
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -100,14 +101,14 @@ func TestDomainExpandTranslate(t *testing.T) {
 }
 
 func TestValueCopyIsDeep(t *testing.T) {
-	v := Value{K: KTuple, Elems: []Value{
+	v := TupleVal([]Value{
 		IntVal(1),
-		{K: KTuple, Elems: []Value{RealVal(2.5), RealVal(3.5)}},
-	}}
+		TupleVal([]Value{RealVal(2.5), RealVal(3.5)}),
+	})
 	c := v.Copy()
-	c.Elems[0].I = 99
-	c.Elems[1].Elems[0].F = -1
-	if v.Elems[0].I != 1 || v.Elems[1].Elems[0].F != 2.5 {
+	c.Elems()[0].I = 99
+	c.Elems()[1].Elems()[0] = RealVal(-1)
+	if v.Elems()[0].I != 1 || v.Elems()[1].Elems()[0].F() != 2.5 {
 		t.Error("Copy is shallow")
 	}
 }
@@ -116,9 +117,9 @@ func TestValueCopySharesArrays(t *testing.T) {
 	arr := &ArrayVal{Dom: DomainVal{Rank: 1, Dims: [3]RangeVal{{0, 3, 1}}}}
 	arr.Layout = arr.Dom
 	arr.Data = make([]Value, 4)
-	v := Value{K: KArray, Arr: arr}
+	v := ArrVal(arr)
 	c := v.Copy()
-	if c.Arr != arr {
+	if c.Arr() != arr {
 		t.Error("array descriptors must be shared by Copy (reference semantics)")
 	}
 }
@@ -127,11 +128,11 @@ func TestFlatSize(t *testing.T) {
 	if IntVal(1).FlatSize() != 1 {
 		t.Error("scalar flat size")
 	}
-	tup := Value{K: KTuple, Elems: []Value{IntVal(1), IntVal(2), IntVal(3)}}
+	tup := TupleVal([]Value{IntVal(1), IntVal(2), IntVal(3)})
 	if tup.FlatSize() != 3 {
 		t.Error("tuple flat size")
 	}
-	nested := Value{K: KTuple, Elems: []Value{tup, tup}}
+	nested := TupleVal([]Value{tup, tup})
 	if nested.FlatSize() != 6 {
 		t.Error("nested flat size")
 	}
@@ -139,15 +140,15 @@ func TestFlatSize(t *testing.T) {
 
 func TestDerefChains(t *testing.T) {
 	target := IntVal(42)
-	r1 := Value{K: KRef, Ref: &target}
-	r2 := Value{K: KRef, Ref: &r1}
+	r1 := MakeRef(&target)
+	r2 := Value{K: KRef, p: unsafe.Pointer(&r1)} // an uncollapsed chain
 	if r2.Deref().I != 42 {
 		t.Error("deref chain broken")
 	}
-	// makeRef collapses ref-of-ref.
-	mr := makeRef(&r1)
-	if mr.Ref != &target {
-		t.Error("makeRef must collapse to the ultimate cell")
+	// MakeRef collapses ref-of-ref.
+	mr := MakeRef(&r1)
+	if mr.Ref() != &target {
+		t.Error("MakeRef must collapse to the ultimate cell")
 	}
 }
 
@@ -157,7 +158,7 @@ func TestValueStrings(t *testing.T) {
 		"1.5":    RealVal(1.5),
 		"2.0":    RealVal(2),
 		"true":   BoolVal(true),
-		"(1, 2)": {K: KTuple, Elems: []Value{IntVal(1), IntVal(2)}},
+		"(1, 2)": TupleVal([]Value{IntVal(1), IntVal(2)}),
 		"nil":    {K: KNil},
 	}
 	for want, v := range cases {
@@ -189,7 +190,7 @@ func TestSliceArrayViews(t *testing.T) {
 		Data:   make([]Value, 10),
 		ElemT:  types.RealType,
 	}
-	view, errs := sliceArray(owner, Value{K: KRange, Rng: RangeVal{2, 5, 1}})
+	view, errs := sliceArray(owner, RngVal(RangeVal{2, 5, 1}))
 	if errs != "" {
 		t.Fatal(errs)
 	}
@@ -198,11 +199,11 @@ func TestSliceArrayViews(t *testing.T) {
 	}
 	// Writing through the view hits the owner's storage.
 	*view.Cell([]int64{3}) = RealVal(7)
-	if owner.Data[3].F != 7 {
+	if owner.Data[3].F() != 7 {
 		t.Error("view write did not alias owner storage")
 	}
 	// Sub-slicing a view still chains to the root owner.
-	sub, _ := sliceArray(view, Value{K: KRange, Rng: RangeVal{3, 4, 1}})
+	sub, _ := sliceArray(view, RngVal(RangeVal{3, 4, 1}))
 	if sub.Owner() != owner {
 		t.Error("sub-view owner chain broken")
 	}

@@ -452,7 +452,7 @@ func (m *VM) initPredeclared() {
 				for i := range arr.Data {
 					arr.Data[i] = Value{K: KLocale, I: int64(i)}
 				}
-				m.globals[g.Slot] = Value{K: KArray, Arr: arr}
+				m.globals[g.Slot] = ArrVal(arr)
 			}
 		case "here":
 			if g.Sym != nil && g.Sym.Owner == nil {
@@ -568,9 +568,7 @@ func (m *VM) pushFrame(t *Task, fn *ir.Func, args []Value, retDst *Value) *Activ
 	}
 	// Default-initialize locals by declared type (globals are zeroed the
 	// same way at startup). The per-function defSlot list skips locals
-	// whose default is the zero Value and precomputes the rest. Indexed
-	// iteration: a defSlot embeds a 216-byte Value, so a range copy per
-	// default would dominate this loop.
+	// whose default is the zero Value and precomputes the rest.
 	defs := m.defaultsFor(fn)
 	for i := range defs {
 		d := &defs[i]
@@ -581,7 +579,7 @@ func (m *VM) pushFrame(t *Task, fn *ir.Func, args []Value, retDst *Value) *Activ
 		case defDirect:
 			act.Slots[d.slot] = d.v
 		case defCopy:
-			copyValueInto(&act.Slots[d.slot], &d.v)
+			act.Slots[d.slot] = d.v.Copy()
 		default:
 			act.Slots[d.slot] = m.defaultValue(d.typ)
 		}

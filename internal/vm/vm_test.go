@@ -1,9 +1,11 @@
 package vm_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/benchprog"
 	"repro/internal/compile"
 	"repro/internal/vm"
 )
@@ -763,5 +765,43 @@ proc main() {
 	_, s2 := run(t, src)
 	if s1.TotalCycles != s2.TotalCycles || s1.WallCycles != s2.WallCycles {
 		t.Errorf("nondeterministic: %+v vs %+v", s1, s2)
+	}
+}
+
+// BenchmarkRunLULESH times one LULESH run with no listener attached: the
+// shape of blame's calibration run.
+func BenchmarkRunLULESH(b *testing.B) {
+	res, err := benchprog.LULESH(benchprog.LuleshOriginal).Compile(compile.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := vm.DefaultConfig()
+	cfg.MaxCycles = 10_000_000_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := vm.New(res.Prog, cfg).Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestValueAliasing runs testdata/alias.mchpl: copies share immutable
+// domain and range boxes, so every change must build a new one; tuples
+// and records still copy deeply; a ref to an array cell sees later
+// stores. internal/gobe runs the same program on both backends.
+func TestValueAliasing(t *testing.T) {
+	src, err := os.ReadFile("testdata/alias.mchpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := run(t, string(src), func(c *vm.Config) { c.NumLocales = 2; c.NumCores = 2 })
+	want := `dist 0 1 {0..7} {0..7}
+dom {0..7} {-2..9} {1..10} 10 8
+range 0..5 65
+copy (1, 2, 3) (9, 2, 3) ((1, 2), (3, 4)) ((1, 7), (3, 4)) 1.0 2.0 0.0 5.0
+ref 5.0 6.0 0.0 0.0 6.0 0.0
+`
+	if out != want {
+		t.Errorf("out =\n%s\nwant\n%s", out, want)
 	}
 }
