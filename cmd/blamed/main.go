@@ -2,16 +2,16 @@
 // HTTP/JSON server exposing the full compile → analyze → run → sample →
 // postmortem pipeline as concurrent profiling sessions. Identical
 // submissions batch into one pipeline execution, finished outcomes are
-// served from a sharded content-addressed cache (optionally shadowed by
+// served from a bounded content-addressed cache (optionally shadowed by
 // an append-only on-disk journal that makes restarts warm), and
 // per-session streams deliver sampler progress plus incremental blame
 // ranks while a run is still going.
 //
 // Usage:
 //
-//	blamed [-addr :8091] [-workers N] [-cache-mb 256] [-shards 16]
-//	       [-deadline 0] [-max-sessions 4096] [-max-queue 0]
-//	       [-journal PATH] [-drain-timeout 30s] [-backend interp|go]
+//	blamed [-addr :8091] [-workers N] [-cache-mb 256] [-deadline 0]
+//	       [-max-sessions 4096] [-max-queue 0] [-journal PATH]
+//	       [-drain-timeout 30s] [-backend interp|go]
 //
 // Endpoints (see README "The blamed server" for the full table):
 //
@@ -52,7 +52,6 @@ func main() {
 		addr         = flag.String("addr", ":8091", "listen address")
 		workers      = flag.Int("workers", 0, "scheduler worker pool size (0 = 4)")
 		cacheMB      = flag.Int("cache-mb", 256, "outcome cache budget in MiB")
-		shards       = flag.Int("shards", 16, "cache shard count (rounded up to a power of two)")
 		deadline     = flag.Duration("deadline", 0, "default per-session deadline for requests that set none (0 = none)")
 		maxSessions  = flag.Int("max-sessions", 4096, "retained session metadata bound")
 		maxQueue     = flag.Int("max-queue", 0, "queued-job bound; submissions beyond it are shed with 503 (0 = unbounded)")
@@ -66,7 +65,6 @@ func main() {
 	opts := serve.Options{
 		Workers:         *workers,
 		CacheBytes:      int64(*cacheMB) << 20,
-		CacheShards:     *shards,
 		MaxSessions:     *maxSessions,
 		DefaultDeadline: *deadline,
 		RankEvery:       *rankEvery,

@@ -113,11 +113,11 @@ func main() {
 		return
 	}
 
-	if *backend != "interp" {
-		if _, err := vm.LookupBackend(*backend); err != nil {
-			fmt.Fprintln(os.Stderr, "mchpl:", err)
-			os.Exit(1)
-		}
+	switch *backend {
+	case "interp", "go":
+	default:
+		fmt.Fprintf(os.Stderr, "mchpl: unknown backend %q (have [go interp])\n", *backend)
+		os.Exit(1)
 	}
 	if *backend == "go" {
 		spec := &gobert.RunSpec{

@@ -6,7 +6,7 @@ import (
 	"repro/internal/analyze/cost"
 	"repro/internal/benchprog"
 	"repro/internal/compile"
-	"repro/internal/core"
+	"repro/internal/memo"
 )
 
 var predSink *cost.Prediction
@@ -21,10 +21,11 @@ func BenchmarkPredictLULESH(b *testing.B) {
 	}
 	opts := cost.DefaultOptions()
 	opts.VM = devVM(devCase{nl: 1})
+	defer func(shared *memo.Store) { memo.Shared = shared }(memo.Shared)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ResetCache()
+		memo.Shared = memo.New(256 << 20)
 		predSink = cost.Predict(res.Prog, opts)
 	}
 }

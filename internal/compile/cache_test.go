@@ -20,7 +20,6 @@ writeln(total);
 // (name, source, options) returns the identical *Result pointer, so every
 // consumer shares one immutable IR.
 func TestSourceCachedHitIsIdentical(t *testing.T) {
-	compile.ResetCache()
 	a, err := compile.SourceCached("cache.mchpl", cacheSrc, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +36,6 @@ func TestSourceCachedHitIsIdentical(t *testing.T) {
 // TestSourceCachedOptionsMiss: differing Options must not share results —
 // --fast changes the IR.
 func TestSourceCachedOptionsMiss(t *testing.T) {
-	compile.ResetCache()
 	plain, err := compile.SourceCached("cache.mchpl", cacheSrc, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +59,6 @@ func TestSourceCachedOptionsMiss(t *testing.T) {
 // TestSourceCachedSourceMiss: same name, different source bytes, must
 // recompile (the key hashes the source, not just the name).
 func TestSourceCachedSourceMiss(t *testing.T) {
-	compile.ResetCache()
 	a, err := compile.SourceCached("cache.mchpl", cacheSrc, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +75,6 @@ func TestSourceCachedSourceMiss(t *testing.T) {
 // TestSourceCachedErrorsCached: a failing source keeps failing without
 // recompiling, and does not poison other keys.
 func TestSourceCachedErrorsCached(t *testing.T) {
-	compile.ResetCache()
 	if _, err := compile.SourceCached("bad.mchpl", "var x = ;", compile.Options{}); err == nil {
 		t.Fatal("expected a compile error")
 	}
@@ -90,39 +86,11 @@ func TestSourceCachedErrorsCached(t *testing.T) {
 	}
 }
 
-// TestSourceCachedConcurrent hammers one key from many goroutines (run
-// under -race in CI): all callers must observe the same pointer.
-func TestSourceCachedConcurrent(t *testing.T) {
-	compile.ResetCache()
-	const goroutines = 16
-	results := make([]*compile.Result, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			res, err := compile.SourceCached("cache.mchpl", cacheSrc, compile.Options{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[g] = res
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d saw a different *Result", g)
-		}
-	}
-}
-
 // TestSourceCachedConcurrentMixedOptions interleaves callers with
 // different Options over the same source (run under -race in CI): every
 // caller must get the pointer for its own option set, and no two option
 // sets may ever alias one entry.
 func TestSourceCachedConcurrentMixedOptions(t *testing.T) {
-	compile.ResetCache()
 	optSets := []compile.Options{
 		{},
 		{Fast: true},

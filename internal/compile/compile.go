@@ -5,9 +5,12 @@
 package compile
 
 import (
+	"crypto/sha256"
+
 	"repro/internal/ast"
 	"repro/internal/ir"
 	"repro/internal/irgen"
+	"repro/internal/memo"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -56,6 +59,30 @@ func Source(name, src string, opts Options) (*Result, error) {
 	}
 	return res, nil
 }
+
+type sourceKey struct {
+	name string
+	hash [sha256.Size]byte
+	opts Options
+}
+
+// SourceCached compiles like Source, memoized in memo.Shared under
+// (name, hash of src, opts). Compilation is deterministic and a Result is
+// immutable once built, so hits return the identical *Result to every
+// caller and goroutine; concurrent lookups of one key compile once.
+// Errors are memoized too: a source that failed keeps failing without
+// re-parsing.
+func SourceCached(name, src string, opts Options) (*Result, error) {
+	k := sourceKey{name: name, hash: sha256.Sum256([]byte(src)), opts: opts}
+	return memo.Do(memo.Shared, "compile", k, func() (*Result, error) {
+		return Source(name, src, opts)
+	}, resultSize)
+}
+
+// resultSize estimates the heap a Result keeps reachable (AST, semantic
+// info and IR): about 350-600 bytes per IR instruction across the
+// embedded benchmarks, 1.4 MB for LULESH.
+func resultSize(r *Result) int64 { return 450 * int64(len(r.Prog.Instrs)) }
 
 // MustSource compiles or panics; for tests and embedded benchmarks whose
 // sources are compiled-in constants.

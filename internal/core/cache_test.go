@@ -31,7 +31,6 @@ func compileFor(t testing.TB) *compile.Result {
 // identical *Analysis, so the profiler and the diagnostics passes share
 // one immutable result.
 func TestAnalyzeCachedHitIsIdentical(t *testing.T) {
-	core.ResetCache()
 	res := compileFor(t)
 	a := core.AnalyzeCached(res.Prog, core.DefaultOptions())
 	b := core.AnalyzeCached(res.Prog, core.DefaultOptions())
@@ -43,7 +42,6 @@ func TestAnalyzeCachedHitIsIdentical(t *testing.T) {
 // TestAnalyzeCachedOptionsMiss: differing core.Options must not share an
 // entry — implicit transfer changes the blame graph.
 func TestAnalyzeCachedOptionsMiss(t *testing.T) {
-	core.ResetCache()
 	res := compileFor(t)
 	def := core.AnalyzeCached(res.Prog, core.DefaultOptions())
 	opts := core.DefaultOptions()
@@ -58,7 +56,6 @@ func TestAnalyzeCachedOptionsMiss(t *testing.T) {
 // identical source) are distinct keys — the cache keys on the *ir.Program
 // pointer, matching the VM's own identity-keyed cost table.
 func TestAnalyzeCachedProgramMiss(t *testing.T) {
-	core.ResetCache()
 	res1 := compileFor(t)
 	res2 := compileFor(t)
 	if res1.Prog == res2.Prog {
@@ -71,34 +68,10 @@ func TestAnalyzeCachedProgramMiss(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCachedConcurrent hammers one key from many goroutines (run
-// under -race in CI): exactly one analysis, same pointer for all.
-func TestAnalyzeCachedConcurrent(t *testing.T) {
-	core.ResetCache()
-	res := compileFor(t)
-	const goroutines = 16
-	results := make([]*core.Analysis, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = core.AnalyzeCached(res.Prog, core.DefaultOptions())
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d saw a different *Analysis", g)
-		}
-	}
-}
-
 // TestAnalyzeCachedConcurrentMixedOptions interleaves callers with
 // different core.Options over the same program (run under -race in CI):
 // pointer stability within an option set, distinctness across sets.
 func TestAnalyzeCachedConcurrentMixedOptions(t *testing.T) {
-	core.ResetCache()
 	res := compileFor(t)
 	mk := func(f func(*core.Options)) core.Options {
 		o := core.DefaultOptions()

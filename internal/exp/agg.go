@@ -7,6 +7,7 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
+	"repro/internal/memo"
 	"repro/internal/postmortem"
 	"repro/internal/vm"
 )
@@ -141,7 +142,7 @@ const bcClockHz = 2.53e9
 // strings are memoized per (program, pass list).
 func predictedBy(p benchprog.Program, passes ...string) string {
 	key := p.Name + "|" + strings.Join(passes, ",")
-	s, _ := predMemo.get(key, func() (string, error) {
+	s, _ := memo.Do(memo.Shared, "exp.pred", key, func() (string, error) {
 		res, err := p.Compile(compile.Options{})
 		if err != nil {
 			return "-", nil
@@ -163,6 +164,6 @@ func predictedBy(p benchprog.Program, passes ...string) string {
 			return "-", nil
 		}
 		return strings.Join(cites, "; "), nil
-	})
+	}, stringSize)
 	return s
 }

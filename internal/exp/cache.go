@@ -3,7 +3,6 @@ package exp
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analyze"
 	"repro/internal/benchprog"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/compile"
 	"repro/internal/ir"
+	"repro/internal/memo"
 )
 
 // The table functions re-derive the same deterministic quantities many
@@ -19,35 +19,7 @@ import (
 // Every VM run here is bit-reproducible (fixed scheduler, fixed cost
 // model, no host time), so run results are pure functions of
 // (program, config) and safe to share — including across the parallel
-// suite driver's goroutines.
-
-// memo is a tiny generic singleflight cache: concurrent lookups of the
-// same key compute once, losers block on the winner.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*memoEntry[V]
-}
-
-type memoEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-func (c *memo[K, V]) get(k K, f func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]*memoEntry[V])
-	}
-	e, ok := c.m[k]
-	if !ok {
-		e = &memoEntry[V]{}
-		c.m[k] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = f() })
-	return e.v, e.err
-}
+// suite driver's goroutines. Each quantity is a memo.Shared stage.
 
 // cfgKey canonicalizes a config-const override map for cache keys.
 func cfgKey(cfgs map[string]string) string {
@@ -101,29 +73,33 @@ type profKey struct {
 	shape runShape
 }
 
-var (
-	timeMemo   memo[timeKey, float64]
-	profMemo   memo[profKey, *blame.Result]
-	reportMemo memo[*ir.Program, *analyze.Report]
-	commMemo   memo[*ir.Program, *comm.Plan]
-	predMemo   memo[string, string]
-)
+// Size estimates for the experiment stages. A profile keeps its raw
+// samples and their attributed instances: 215-350 bytes per sample
+// across the embedded benchmarks.
+func profileSize(r *blame.Result) int64 {
+	return 300*int64(len(r.Sampler.Samples)) + 64*int64(len(r.Sampler.Comms))
+}
+
+func reportSize(r *analyze.Report) int64 { return 1024 * int64(1+len(r.Diags)) }
+func planSize(p *comm.Plan) int64        { return 1024 + 128*int64(len(p.Sites)) }
+func secondsSize(float64) int64          { return 64 }
+func stringSize(s string) int64          { return 64 + int64(len(s)) }
 
 // analysisReport memoizes the default diagnostics report per program
 // (reports are immutable once built).
 func analysisReport(prog *ir.Program) *analyze.Report {
-	rep, _ := reportMemo.get(prog, func() (*analyze.Report, error) {
+	rep, _ := memo.Do(memo.Shared, "exp.report", prog, func() (*analyze.Report, error) {
 		return analyze.Run(prog), nil
-	})
+	}, reportSize)
 	return rep
 }
 
 // commPlanFor memoizes the static comm-pattern plan per program (the VM
 // and the aggregation runtime only read it).
 func commPlanFor(prog *ir.Program) *comm.Plan {
-	plan, _ := commMemo.get(prog, func() (*comm.Plan, error) {
+	plan, _ := memo.Do(memo.Shared, "exp.commplan", prog, func() (*comm.Plan, error) {
 		return analyze.CommPlan(prog), nil
-	})
+	}, planSize)
 	return plan
 }
 
@@ -131,13 +107,13 @@ func commPlanFor(prog *ir.Program) *comm.Plan {
 // deterministic, so one (program, fast, configs) run serves Table3,
 // Table5, Table7 and Table9 alike.
 func timedSeconds(p benchprog.Program, fast bool, cfgs map[string]string) (float64, error) {
-	return timeMemo.get(timeKey{p.Name, fast, cfgKey(cfgs)}, func() (float64, error) {
+	return memo.Do(memo.Shared, "exp.time", timeKey{p.Name, fast, cfgKey(cfgs)}, func() (float64, error) {
 		res, err := p.Compile(compile.Options{Fast: fast})
 		if err != nil {
 			return 0, err
 		}
 		return timeRun(res, cfgs)
-	})
+	}, secondsSize)
 }
 
 // profiled memoizes profileProgram results. The *blame.Result (profile,
@@ -151,16 +127,7 @@ func profiled(p benchprog.Program, cfgs map[string]string) (*blame.Result, error
 // profiledShaped is profiled with an explicit run shape; distinct shapes
 // get distinct cache entries.
 func profiledShaped(p benchprog.Program, cfgs map[string]string, shape runShape) (*blame.Result, error) {
-	return profMemo.get(profKey{p.Name, cfgKey(cfgs), shape}, func() (*blame.Result, error) {
+	return memo.Do(memo.Shared, "exp.profile", profKey{p.Name, cfgKey(cfgs), shape}, func() (*blame.Result, error) {
 		return profileUncached(p, cfgs, shape)
-	})
-}
-
-// ResetMemos drops all experiment-level caches (tests).
-func ResetMemos() {
-	timeMemo = memo[timeKey, float64]{}
-	profMemo = memo[profKey, *blame.Result]{}
-	reportMemo = memo[*ir.Program, *analyze.Report]{}
-	commMemo = memo[*ir.Program, *comm.Plan]{}
-	predMemo = memo[string, string]{}
+	}, profileSize)
 }

@@ -1,17 +1,20 @@
 package exp
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/benchprog"
+	"repro/internal/compile"
+	"repro/internal/core"
+	"repro/internal/memo"
 )
 
 // TestProfiledShapeNoAlias pins the profKey audit: a shaped run (multi-
 // locale, comm aggregation, faults) must never alias the default-shape
 // cache entry for the same (program, configs).
 func TestProfiledShapeNoAlias(t *testing.T) {
-	ResetMemos()
 	prog := benchprog.Halo()
 	cfgs := benchprog.HaloConfig{N: 64, Reps: 2}.Configs()
 
@@ -49,7 +52,6 @@ func TestProfiledShapeNoAlias(t *testing.T) {
 // (run under -race in CI): each shape computes once and every caller of
 // a shape sees the same pointer.
 func TestProfiledShapeConcurrent(t *testing.T) {
-	ResetMemos()
 	prog := benchprog.Halo()
 	cfgs := benchprog.HaloConfig{N: 64, Reps: 2}.Configs()
 	shapes := []runShape{
@@ -90,4 +92,42 @@ func TestProfiledShapeConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStageSizeEstimates: the compile, analysis and profile stages
+// charge the store within 2x of the heap their values actually keep
+// reachable, measured on LULESH (IR 1.4 MB, analysis 0.9 MB, profile
+// 1.4 MB), so a store's byte budget bounds real memory.
+func TestStageSizeEstimates(t *testing.T) {
+	defer func(shared *memo.Store) { memo.Shared = shared }(memo.Shared)
+	memo.Shared = memo.New(1 << 30)
+	prog := benchprog.LULESH(benchprog.LuleshOriginal)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	check := func(stage string, retained int64) {
+		t.Helper()
+		est := memo.Shared.StageStats()[stage].Bytes
+		if est*2 < retained || est > 2*retained {
+			t.Errorf("%s: estimate %d bytes, retained %d", stage, est, retained)
+		}
+	}
+
+	h0 := heap()
+	res, err := prog.Compile(compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := heap()
+	check("compile", h1-h0)
+	core.AnalyzeCached(res.Prog, core.DefaultOptions())
+	h2 := heap()
+	check("analysis", h2-h1)
+	if _, err := profiled(prog, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("exp.profile", heap()-h2)
 }

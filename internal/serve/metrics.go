@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/memo"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds (a decade
@@ -178,42 +180,45 @@ func (m *Metrics) Executed(wall time.Duration) {
 
 // MetricsSnapshot is the JSON form of /metrics.
 type MetricsSnapshot struct {
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	Requests      map[string]uint64  `json:"requests"`
-	Errors        map[string]uint64  `json:"errors,omitempty"`
-	Sessions      map[string]uint64  `json:"sessions"`
-	Served        uint64             `json:"served"`
-	Executed      uint64             `json:"executed"`
-	LatencyP50Ms  float64            `json:"latency_p50_ms"`
-	LatencyP95Ms  float64            `json:"latency_p95_ms"`
-	LatencyP99Ms  float64            `json:"latency_p99_ms"`
-	RunP99Ms      float64            `json:"run_p99_ms"`
-	Cycles        uint64             `json:"cycles_total"`
-	CommMessages  uint64             `json:"comm_messages_total"`
-	Samples       uint64             `json:"samples_total"`
-	InspBuilds    uint64             `json:"inspector_builds_total"`
-	SchedHits     uint64             `json:"schedule_hits_total"`
-	ReplicatedVs  uint64             `json:"replicated_vars_total"`
-	Cache         CacheStats         `json:"cache"`
-	CacheHitRate  float64            `json:"cache_hit_rate"`
-	Sched         SchedStats         `json:"scheduler"`
-	Shed          map[string]uint64  `json:"shed,omitempty"`
-	Draining      bool               `json:"draining"`
-	Journal       JournalStats       `json:"journal"`
-	Aux           map[string]float64 `json:"aux,omitempty"`
+	UptimeSeconds float64               `json:"uptime_seconds"`
+	Requests      map[string]uint64     `json:"requests"`
+	Errors        map[string]uint64     `json:"errors,omitempty"`
+	Sessions      map[string]uint64     `json:"sessions"`
+	Served        uint64                `json:"served"`
+	Executed      uint64                `json:"executed"`
+	LatencyP50Ms  float64               `json:"latency_p50_ms"`
+	LatencyP95Ms  float64               `json:"latency_p95_ms"`
+	LatencyP99Ms  float64               `json:"latency_p99_ms"`
+	RunP99Ms      float64               `json:"run_p99_ms"`
+	Cycles        uint64                `json:"cycles_total"`
+	CommMessages  uint64                `json:"comm_messages_total"`
+	Samples       uint64                `json:"samples_total"`
+	InspBuilds    uint64                `json:"inspector_builds_total"`
+	SchedHits     uint64                `json:"schedule_hits_total"`
+	ReplicatedVs  uint64                `json:"replicated_vars_total"`
+	Cache         memo.Stats            `json:"cache"`
+	CacheHitRate  float64               `json:"cache_hit_rate"`
+	Sched         SchedStats            `json:"scheduler"`
+	Shed          map[string]uint64     `json:"shed,omitempty"`
+	Draining      bool                  `json:"draining"`
+	Journal       JournalStats          `json:"journal"`
+	Memo          map[string]memo.Stats `json:"memo"`
+	Aux           map[string]float64    `json:"aux,omitempty"`
 }
 
 // MetricsAux carries server-level resilience state into the rendering:
-// the drain flag, the journal counters, and any extra gauges the host
-// process registers (the runner supervisor's counters in cmd/blamed).
+// the drain flag, the journal counters, the per-stage counters of
+// memo.Shared, and any extra gauges the host process registers (the
+// runner supervisor's counters in cmd/blamed).
 type MetricsAux struct {
 	Draining bool
 	Journal  JournalStats
+	Memo     map[string]memo.Stats
 	Extra    map[string]float64
 }
 
 // Snapshot assembles the JSON metrics view.
-func (m *Metrics) Snapshot(cache CacheStats, sched SchedStats, aux MetricsAux) MetricsSnapshot {
+func (m *Metrics) Snapshot(cache memo.Stats, sched SchedStats, aux MetricsAux) MetricsSnapshot {
 	m.mu.Lock()
 	snap := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.startedAt).Seconds(),
@@ -252,12 +257,13 @@ func (m *Metrics) Snapshot(cache CacheStats, sched SchedStats, aux MetricsAux) M
 	snap.Sched = sched
 	snap.Draining = aux.Draining
 	snap.Journal = aux.Journal
+	snap.Memo = aux.Memo
 	snap.Aux = aux.Extra
 	return snap
 }
 
 // Render writes the Prometheus-style text exposition of /metrics.
-func (m *Metrics) Render(cache CacheStats, sched SchedStats, aux MetricsAux) string {
+func (m *Metrics) Render(cache memo.Stats, sched SchedStats, aux MetricsAux) string {
 	snap := m.Snapshot(cache, sched, aux)
 	var b strings.Builder
 	fmt.Fprintf(&b, "blamed_uptime_seconds %.3f\n", snap.UptimeSeconds)
@@ -293,6 +299,19 @@ func (m *Metrics) Render(cache CacheStats, sched SchedStats, aux MetricsAux) str
 	fmt.Fprintf(&b, "blamed_cache_misses_total %d\n", cache.Misses)
 	fmt.Fprintf(&b, "blamed_cache_evictions_total %d\n", cache.Evictions)
 	fmt.Fprintf(&b, "blamed_cache_hit_rate %.4f\n", snap.CacheHitRate)
+	stages := make([]string, 0, len(snap.Memo))
+	for stage := range snap.Memo {
+		stages = append(stages, stage)
+	}
+	sort.Strings(stages)
+	for _, stage := range stages {
+		st := snap.Memo[stage]
+		fmt.Fprintf(&b, "blamed_memo_entries{stage=%q} %d\n", stage, st.Entries)
+		fmt.Fprintf(&b, "blamed_memo_bytes{stage=%q} %d\n", stage, st.Bytes)
+		fmt.Fprintf(&b, "blamed_memo_hits_total{stage=%q} %d\n", stage, st.Hits)
+		fmt.Fprintf(&b, "blamed_memo_misses_total{stage=%q} %d\n", stage, st.Misses)
+		fmt.Fprintf(&b, "blamed_memo_evictions_total{stage=%q} %d\n", stage, st.Evictions)
+	}
 	fmt.Fprintf(&b, "blamed_session_cycles_total %d\n", snap.Cycles)
 	fmt.Fprintf(&b, "blamed_session_comm_messages_total %d\n", snap.CommMessages)
 	fmt.Fprintf(&b, "blamed_session_samples_total %d\n", snap.Samples)

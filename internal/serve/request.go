@@ -5,9 +5,9 @@
 //
 //   - Request / Execute   the one profiling code path, shared byte-for-
 //     byte with cmd/blame (the CLI is a thin shell over Execute)
-//   - Cache               a sharded, content-addressed, bounded LRU over
-//     finished Outcomes, generalizing compile.SourceCached /
-//     core.AnalyzeCached to whole pipeline results
+//   - outcome cache       a memo.Store of finished Outcomes keyed by
+//     Request.Key, bounded by Options.CacheBytes; the compile and
+//     analysis stages beneath it live in memo.Shared
 //   - Scheduler           a priority job queue with per-session
 //     deadlines, cancellation, and request batching (identical
 //     submissions coalesce into one pipeline execution)

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/postmortem"
 	"repro/internal/views"
 	"repro/internal/vm"
@@ -29,9 +30,6 @@ type Options struct {
 	Workers int
 	// CacheBytes bounds the outcome cache (0 = 256 MiB).
 	CacheBytes int64
-	// CacheShards is the shard count (0 = 16, rounded up to a power of
-	// two).
-	CacheShards int
 	// MaxSessions bounds retained session metadata; the oldest finished
 	// sessions are forgotten beyond it (0 = 4096).
 	MaxSessions int
@@ -58,11 +56,11 @@ type Options struct {
 // Server is the blame-as-a-service front end: sessions, scheduler,
 // cache, metrics, and the HTTP handlers tying them together.
 type Server struct {
-	opts    Options
-	cache   *Cache
-	sched   *Scheduler
-	metrics *Metrics
-	journal *Journal
+	opts     Options
+	outcomes *memo.Store
+	sched    *Scheduler
+	metrics  *Metrics
+	journal  *Journal
 
 	// draining rejects new submissions (503 + Retry-After) while
 	// in-flight sessions finish; set by BeginDrain/Shutdown.
@@ -85,20 +83,21 @@ func New(opts Options) *Server {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = 4096
 	}
+	if opts.CacheBytes <= 0 {
+		opts.CacheBytes = 256 << 20
+	}
 	run := opts.Run
 	if run == nil {
 		run = Execute
 	}
 	s := &Server{
 		opts:     opts,
-		cache:    NewCache(opts.CacheBytes, opts.CacheShards),
+		outcomes: memo.New(opts.CacheBytes),
 		metrics:  NewMetrics(),
 		sessions: make(map[string]*Session),
 	}
 	if opts.Journal != "" {
-		j, err := OpenJournal(opts.Journal, func(key string, out *Outcome) {
-			s.cache.Put(key, out)
-		})
+		j, err := OpenJournal(opts.Journal, s.cacheOutcome)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: outcome journal disabled: %v\n", err)
 		} else {
@@ -120,10 +119,25 @@ func New(opts Options) *Server {
 	return s
 }
 
+// cachedOutcome looks key up in the outcome cache.
+func (s *Server) cachedOutcome(key string) (*Outcome, bool) {
+	v, ok := s.outcomes.Get("outcome", key)
+	if !ok {
+		return nil, false
+	}
+	return v.(*Outcome), true
+}
+
+// cacheOutcome inserts into the outcome cache; journal replay feeds it
+// directly.
+func (s *Server) cacheOutcome(key string, out *Outcome) {
+	s.outcomes.Put("outcome", key, out, out.sizeBytes())
+}
+
 // putOutcome inserts into the cache and appends to the journal (the
 // journal is the cache's durable shadow: same key, same bytes).
 func (s *Server) putOutcome(key string, out *Outcome) {
-	s.cache.Put(key, out)
+	s.cacheOutcome(key, out)
 	if err := s.journal.Append(key, out); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: journal append: %v\n", err)
 	}
@@ -172,9 +186,6 @@ func (s *Server) Close() {
 	s.sched.Close()
 	s.journal.Close()
 }
-
-// Cache exposes the outcome cache (loadtest reporting).
-func (s *Server) Cache() *Cache { return s.cache }
 
 // Handler returns the HTTP routing table.
 func (s *Server) Handler() http.Handler {
@@ -274,7 +285,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	go s.watchDone(sess)
 
 	if !req.NoCache {
-		if out, hit := s.cache.Get(sess.Key); hit {
+		if out, hit := s.cachedOutcome(sess.Key); hit {
 			sess.finish(StateDone, out, nil, true)
 			s.respondSubmit(w, r, sess)
 			return
@@ -526,7 +537,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	out, hit := (*Outcome)(nil), false
 	if !req.NoCache {
-		out, hit = s.cache.Get(key)
+		out, hit = s.cachedOutcome(key)
 	}
 	if !hit {
 		var err error
@@ -608,8 +619,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cache, sched := s.cache.Stats(), s.sched.Stats()
-	aux := MetricsAux{Draining: s.draining.Load(), Journal: s.journal.Stats()}
+	cache, sched := s.outcomes.Stats(), s.sched.Stats()
+	aux := MetricsAux{Draining: s.draining.Load(), Journal: s.journal.Stats(), Memo: memo.Shared.StageStats()}
 	if s.opts.AuxMetrics != nil {
 		aux.Extra = s.opts.AuxMetrics()
 	}

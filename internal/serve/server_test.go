@@ -228,7 +228,8 @@ func TestDiffEndpoint(t *testing.T) {
 }
 
 // TestMetricsEndpoint: after a miss and a hit, both expositions report a
-// positive cache hit rate and the served totals.
+// positive cache hit rate, the served totals and the compile stage of
+// the shared memo store.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	req := Request{Bench: "fig1"}
@@ -245,6 +246,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Cycles == 0 {
 		t.Fatal("no cycles served")
 	}
+	if c := snap.Memo["compile"]; c.Hits+c.Misses == 0 {
+		t.Fatalf("memo compile stage = %+v after an execution", c)
+	}
 
 	resp := mustGet(t, ts.URL+"/metrics")
 	text, _ := io.ReadAll(resp.Body)
@@ -252,6 +256,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, metric := range []string{
 		"blamed_cache_hit_rate", "blamed_queue_depth", "blamed_requests_total",
 		"blamed_session_cycles_total", "blamed_request_seconds_bucket",
+		`blamed_memo_bytes{stage="compile"}`,
 	} {
 		if !strings.Contains(string(text), metric) {
 			t.Fatalf("metrics exposition missing %s", metric)
